@@ -50,6 +50,7 @@ from .plcore import (
     pl_entails,
     relevant_atoms,
     semantic_class,
+    universe_for,
 )
 from .semantics import (
     CountermodelConstructionError,
@@ -113,7 +114,7 @@ __all__ = [
     # propositional core
     "AtomUniverse", "AtomLimitError", "MAX_ATOMS", "models_of",
     "semantic_class", "conjunction_mask", "pl_entails", "is_tautology",
-    "is_contradiction", "formula_for_class", "relevant_atoms",
+    "is_contradiction", "formula_for_class", "relevant_atoms", "universe_for",
     # verdicts
     "LOGICS", "LogicId", "Rationale", "Verdict",
     # semantics

@@ -10,7 +10,8 @@ Six subcommands over `.bdl` documents::
     bdl examples NAME [--tickets 3] [--json]
 
 Exit codes: 0 when the asked-for property holds (entailed / consistent /
-all checks pass), 1 when it does not, 2 on input errors or scale guards.
+all checks pass), 1 when it does not, 2 on input errors or scale guards
+(including input nested too deeply to process).
 JSON payloads all carry ``"schema": 1`` and are emitted with sorted keys.
 """
 
@@ -35,7 +36,7 @@ from .decision import (
 )
 from .fixtures import FIXTURES, evaluate
 from .metatheory import run_suite
-from .plcore import AtomLimitError, AtomUniverse, models_of, relevant_atoms
+from .plcore import AtomLimitError, AtomUniverse, models_of, universe_for
 from .semantics import ScaleLimitError, model_to_dict, render_model
 from .syntax import (
     Belief,
@@ -93,8 +94,7 @@ def _universe_for_gamma(
     gamma: InformationSet, atoms: Optional[int], limit: int
 ) -> AtomUniverse:
     """Universe of the set's own atoms, padded to ``--atoms`` if asked."""
-    base = relevant_atoms(list(gamma.belief_bodies) + list(gamma.disbelief_bodies))
-    names = list(base.atoms)
+    names = list(universe_for(gamma).atoms)
     if atoms is not None:
         if atoms < len(names):
             raise _InputError(
@@ -133,8 +133,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     query = _parse_query(args.query)
     logics = _logics_from(args.logic)
+    universe = universe_for(gamma, query)
     verdicts = [
-        decide(lg, gamma, query, with_countermodel=args.countermodel)
+        decide(lg, gamma, query, universe, with_countermodel=args.countermodel)
         for lg in logics
     ]
     if args.json:
@@ -177,7 +178,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_consistency(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     logics = _logics_from(args.logic)
-    reports = [inconsistency_report(lg, gamma) for lg in logics]
+    universe = universe_for(gamma)
+    reports = [inconsistency_report(lg, gamma, universe) for lg in logics]
     if args.json:
         payload = {
             "schema": _SCHEMA,
@@ -452,6 +454,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (AtomLimitError, ScaleLimitError, ClosureScaleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # exit 1 would read as "not entailed" / "inconsistent"
+        print(
+            "error: a formula is nested too deeply to process (Python recursion "
+            "limit reached; a chain of N binary operators nests N deep)",
+            file=sys.stderr,
+        )
+        return 2
+    except MemoryError:
+        print("error: out of memory while processing the input", file=sys.stderr)
         return 2
 
 

@@ -30,8 +30,8 @@ from .plcore import (
     conjunction_mask,
     formula_for_class,
     models_of,
-    relevant_atoms,
     semantic_class,
+    universe_for,
 )
 from .syntax import (
     And,
@@ -62,33 +62,26 @@ __all__ = [
 CONSEQUENCE_UNIVERSE_LIMIT = 2
 
 
-def _universe_for(
-    gamma: InformationSet, alpha: Sentence | None = None
-) -> AtomUniverse:
-    bodies = [s.body for s in gamma]
-    if alpha is not None:
-        bodies.append(alpha.body)
-    return relevant_atoms(bodies)
-
-
 def _not_entailed(logic: LogicId, alpha: Sentence) -> Verdict:
     return Verdict(logic=logic, query=alpha, entailed=False)
 
 
 def _sorted_disbeliefs(
     gamma: InformationSet, universe: AtomUniverse
-) -> list[tuple[int, str, Formula]]:
-    keyed = [
-        (models_of(body, universe), render_formula(body), body)
-        for body in gamma.disbelief_bodies
-    ]
-    return sorted(keyed, key=lambda item: (item[0], item[1]))
+) -> list[tuple[int, Formula]]:
+    """Disbelieved bodies by model-set mask, ties in rendering order.
+
+    ``disbelief_bodies`` is already in rendering order and the sort is
+    stable, so equal masks keep it without rendering again.
+    """
+    keyed = [(models_of(body, universe), body) for body in gamma.disbelief_bodies]
+    return sorted(keyed, key=lambda item: item[0])
 
 
 def decide_wbd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else _universe_for(gamma, alpha)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     mask = models_of(alpha.body, u)
     if isinstance(alpha, Belief):
         if conjunction_mask(gamma.belief_bodies, u) & ~mask == 0:
@@ -106,7 +99,7 @@ def decide_wbd(
             entailed=True,
             rationale=Rationale("DBot", description="the queried formula is unsatisfiable"),
         )
-    for witness_mask, _, body in _sorted_disbeliefs(gamma, u):
+    for witness_mask, body in _sorted_disbeliefs(gamma, u):
         if mask & ~witness_mask == 0:
             return Verdict(
                 logic="wbd",
@@ -124,7 +117,7 @@ def decide_wbd(
 def decide_gbd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else _universe_for(gamma, alpha)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     mask = models_of(alpha.body, u)
     if isinstance(alpha, Belief):
         if conjunction_mask(gamma.belief_bodies, u) & ~mask == 0:
@@ -152,7 +145,7 @@ def decide_gbd(
 def decide_bd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else _universe_for(gamma, alpha)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     mask = models_of(alpha.body, u)
     beliefs = conjunction_mask(gamma.belief_bodies, u)
     if isinstance(alpha, Belief):
@@ -180,7 +173,7 @@ def decide_bd(
                 "BtoD", description="the beliefs classically refute the query"
             ),
         )
-    for witness_mask, _, body in _sorted_disbeliefs(gamma, u):
+    for witness_mask, body in _sorted_disbeliefs(gamma, u):
         if beliefs & mask & ~witness_mask == 0:
             return Verdict(
                 logic="bd",
@@ -198,7 +191,7 @@ def decide_bd(
 def decide_bn(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else _universe_for(gamma, alpha)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     mask = models_of(alpha.body, u)
     pool = conjunction_mask(gamma.belief_bodies, u) & conjunction_mask(
         gamma.dual_bodies, u
@@ -242,6 +235,8 @@ def decide(
     """
     if logic not in _DECIDERS:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
+    if universe is None:
+        universe = universe_for(gamma, alpha)
     verdict = _DECIDERS[logic](gamma, alpha, universe)
     if with_countermodel and not verdict.entailed and logic != "bn":
         from .semantics import construct_countermodel
@@ -305,11 +300,16 @@ def _combined_witness(
     )
 
 
-def inconsistency_report(logic: LogicId, gamma: InformationSet) -> InconsistencyReport:
-    """Evaluate all inconsistency notions for ``gamma`` under ``logic``."""
+def inconsistency_report(
+    logic: LogicId, gamma: InformationSet, universe: AtomUniverse | None = None
+) -> InconsistencyReport:
+    """Evaluate all inconsistency notions for ``gamma`` under ``logic``.
+
+    ``universe`` defaults to the atoms of ``gamma``.
+    """
     if logic not in _DECIDERS:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
-    u = _universe_for(gamma)
+    u = universe if universe is not None else universe_for(gamma)
     b_inconsistent = conjunction_mask(gamma.belief_bodies, u) == 0
     top_bar = Disbelief(Top())
     d_inconsistent = _DECIDERS[logic](gamma, top_bar, u).entailed

@@ -18,8 +18,10 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    InformationSet,
     Not,
     Or,
+    Sentence,
     Top,
     atoms_of,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "AtomLimitError",
     "AtomUniverse",
     "relevant_atoms",
+    "universe_for",
     "models_of",
     "semantic_class",
     "conjunction_mask",
@@ -66,12 +69,14 @@ class AtomUniverse:
         self._atom_masks = tuple(self._build_mask(k) for k in range(self.n))
 
     def _build_mask(self, k: int) -> int:
-        # valuations with bit k set, as a repeating block pattern
+        # valuations with bit k set: one block of 2^k ones above 2^k zeros,
+        # then the pattern doubled n - k - 1 times (not one OR per block)
         step = 1 << k
-        block = (1 << step) - 1
-        mask = 0
-        for start in range(step, self.world_count, 2 * step):
-            mask |= block << start
+        mask = ((1 << step) - 1) << step
+        width = 2 * step
+        while width < self.world_count:
+            mask |= mask << width
+            width *= 2
         return mask
 
     def atom_mask(self, name: str) -> WorldSet:
@@ -100,6 +105,14 @@ def relevant_atoms(formulas: Iterable[Formula]) -> AtomUniverse:
     for f in formulas:
         names |= atoms_of(f)
     return AtomUniverse(names)
+
+
+def universe_for(gamma: InformationSet, alpha: Sentence | None = None) -> AtomUniverse:
+    """The universe of the atoms in ``gamma`` and, if given, the query ``alpha``."""
+    bodies = [s.body for s in gamma.sentences]
+    if alpha is not None:
+        bodies.append(alpha.body)
+    return relevant_atoms(bodies)
 
 
 def models_of(formula: Formula, universe: AtomUniverse) -> WorldSet:

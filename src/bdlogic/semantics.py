@@ -34,7 +34,7 @@ from .plcore import (
     conjunction_mask,
     formula_for_class,
     models_of,
-    relevant_atoms,
+    universe_for,
 )
 from .syntax import Belief, Disbelief, Formula, InformationSet, Not, Sentence
 from .verdicts import LogicId, Verdict
@@ -250,17 +250,6 @@ def _model_space(logic: LogicId, atoms: tuple[str, ...]) -> _ModelSpace:
     return _ModelSpace(logic, AtomUniverse(atoms))
 
 
-def _universe_for(
-    gamma: InformationSet, alpha: Sentence | None, universe: AtomUniverse | None
-) -> AtomUniverse:
-    if universe is not None:
-        return universe
-    bodies = [s.body for s in gamma]
-    if alpha is not None:
-        bodies.append(alpha.body)
-    return relevant_atoms(bodies)
-
-
 def brute_force_entails(
     logic: LogicId,
     gamma: InformationSet,
@@ -272,7 +261,7 @@ def brute_force_entails(
     Returns an entailed verdict, or the first counterexample model in the
     fixed enumeration order.
     """
-    u = _universe_for(gamma, alpha, universe)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     space = _model_space(logic, u.atoms)
     violating = space.gamma_grid(gamma) & ~space.sat_sentence(alpha)
     flat = violating.reshape(-1)
@@ -340,7 +329,7 @@ def construct_countermodel(
     """
     if logic == "bn":
         raise ValueError("bn has no model semantics; no countermodel exists")
-    u = _universe_for(gamma, alpha, universe)
+    u = universe if universe is not None else universe_for(gamma, alpha)
     m = conjunction_mask(gamma.belief_bodies, u)
     model: Model
     if logic == "wbd":

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -185,13 +186,18 @@ class InformationSet:
     def of(cls, *sentences: Sentence) -> "InformationSet":
         return cls(frozenset(sentences))
 
+    @cached_property
+    def _ordered(self) -> tuple[Sentence, ...]:
+        # the set is immutable, so it is sorted (and rendered) once
+        return tuple(sorted(self.sentences, key=_sentence_sort_key))
+
     @property
     def beliefs(self) -> tuple[Belief, ...]:
-        return tuple(s for s in self if isinstance(s, Belief))
+        return tuple(s for s in self._ordered if isinstance(s, Belief))
 
     @property
     def disbeliefs(self) -> tuple[Disbelief, ...]:
-        return tuple(s for s in self if isinstance(s, Disbelief))
+        return tuple(s for s in self._ordered if isinstance(s, Disbelief))
 
     @property
     def belief_bodies(self) -> tuple[Formula, ...]:
@@ -213,7 +219,7 @@ class InformationSet:
         return InformationSet(self.sentences - {sentence})
 
     def __iter__(self) -> Iterator[Sentence]:
-        return iter(sorted(self.sentences, key=_sentence_sort_key))
+        return iter(self._ordered)
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -142,6 +142,23 @@ class TestCheck:
         assert err
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["!" * 2000 + "p", "(" * 300 + "p" + ")" * 300, " & ".join(["p", "q"] * 1500)],
+    ids=["not", "parens", "chain"],
+)
+@pytest.mark.parametrize(
+    "argv", [["check", "--query", "B: p"], ["consistency"]], ids=["check", "consistency"]
+)
+def test_deeply_nested_input_exits_two(capsys, tmp_path, body, argv):
+    deep = tmp_path / "deep.bdl"
+    deep.write_text(f"B: {body}\n")
+    code, out, err = run(capsys, argv[0], str(deep), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 class TestConsistency:
     def test_inconsistent_set_exits_one(self, capsys, agnostic_file):
         code, out, _ = run(capsys, "consistency", agnostic_file, "--logic", "gbd")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from bdlogic import (
     CONSEQUENCE_UNIVERSE_LIMIT,
+    And,
     Atom,
     AtomUniverse,
     Belief,
@@ -101,6 +102,14 @@ class TestRationales:
         assert v.rationale.witness_disbelief == parse_information_set(
             "D: s & m"
         ).disbelief_bodies[0]
+
+    @pytest.mark.parametrize("decider", [decide_wbd, decide_bd])
+    def test_witness_is_the_lowest_mask_then_the_first_rendered(self, decider):
+        # "p" renders first but its mask is the higher int; "p & q" and
+        # "q & p" tie on the lowest covering mask, so rendering decides
+        gamma = parse_information_set("D: q & p\nD: p\nD: p & q\nD: p & q & !r")
+        v = decider(gamma, parse_sentence("D: p & q & r"))
+        assert v.rationale.witness_disbelief == And(p, q)
 
     def test_wbd_disbelief_weakening_rule(self):
         v = decide_wbd(parse_information_set("D: p | q"), parse_sentence("D: p"))

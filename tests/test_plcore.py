@@ -63,6 +63,16 @@ class TestAtomUniverse:
         u = AtomUniverse([f"a{i:02d}" for i in range(MAX_ATOMS)])
         assert u.world_count == 2**MAX_ATOMS
 
+    @pytest.mark.parametrize("n", range(MAX_ATOMS + 1))
+    def test_atom_masks_match_the_valuations(self, n):
+        # independent of how the masks are built: bit v is set iff
+        # valuation v makes the atom true
+        u = AtomUniverse([f"a{i:02d}" for i in range(n)])
+        valuations = [u.valuation(v) for v in range(u.world_count)]
+        for name in u.atoms:
+            bits = "".join("1" if val[name] else "0" for val in reversed(valuations))
+            assert u.atom_mask(name) == int(bits, 2)
+
 
 class TestModelsOf:
     @given(f=formulas())

@@ -144,6 +144,23 @@ class TestDocuments:
         assert text == "B: p\nD: !q\nD: q"
         assert parse_information_set(text) == iset
 
+    def test_iteration_is_sorted_once(self, monkeypatch):
+        from bdlogic import syntax
+
+        iset = parse_information_set("D: q\nB: p | q\nD: !p\nB: a\nD: p & q\nB: !a")
+        want = tuple(sorted(iset.sentences, key=syntax._sentence_sort_key))
+        renders = []
+        original = syntax.render_formula
+        monkeypatch.setattr(
+            syntax, "render_formula", lambda f: renders.append(f) or original(f)
+        )
+        assert tuple(iset) == want
+        assert len(renders) == len(iset)
+        assert tuple(iset) == want
+        assert iset.beliefs + iset.disbeliefs == want
+        assert iset.disbelief_bodies == tuple(s.body for s in want[3:])
+        assert len(renders) == len(iset)
+
 
 class TestRenderer:
     def test_minimal_parentheses(self):
