@@ -1,12 +1,15 @@
-"""Byte-identical CLI output: `check --json` and `consistency --json` pinned.
+"""Byte-identical CLI output: every JSON-emitting subcommand pinned.
 
 Every fixture document and one 16-atom document are run through
 ``check`` (every query below, every logic and ``all``, with and without
 ``--countermodel``; the 16-atom document without it) and ``consistency``
-(every logic and ``all``).  Each run's exit code and the SHA-256 of its
-stdout are pinned in ``cli_golden.json``, so a refactor that changes one
-output byte fails here.  Re-record with ``python tests/test_cli_golden.py``
-only for an intended change of output.
+(every logic and ``all``).  The small documents of ``SLICES`` are run
+through ``consequences`` (every logic) and ``closure`` (every logic and
+reading), each with and without the ``--atoms`` padding listed; ``meta``
+runs once, at seed 0 and quick scale.  Each run's exit code and the
+SHA-256 of its stdout are pinned in ``cli_golden.json``, so a refactor
+that changes one output byte fails here.  Re-record with
+``python tests/test_cli_golden.py`` only for an intended change of output.
 """
 
 from __future__ import annotations
@@ -43,10 +46,32 @@ DOCUMENTS = {
 }
 LOGIC_ARGS = LOGICS + ("all",)
 
+# documents of at most two atoms, for the class-enumerating subcommands:
+# name -> (document, the --atoms paddings to run besides none)
+SLICES = {
+    "agnostic": (FIXTURES["agnostic"]().document, [["--atoms", "2"]]),
+    "lottery": (FIXTURES["lottery"]().document, []),
+    "coupled": ("B: p -> q\nD: q\nD: q & !p\nD: p & !q", [["--atoms", "2"]]),
+}
+READINGS = ("membership", "derivability")
+META_CASE = "meta seed 0 quick"
+META_ARGV = ["meta", "--seed", "0", "--scale", "quick", "--json"]
+
 
 def _cases(name: str, command: str) -> dict[str, list[str]]:
     """Case id -> argv for one document and subcommand."""
     path = f"{name}.bdl"
+    if command in ("consequences", "closure"):
+        readings = READINGS if command == "closure" else [None]
+        return {
+            " ".join([name, command, lg, *([reading] if reading else []), *extra]): [
+                command, path, "--logic", lg, *(["--reading", reading] if reading else []),
+                "--json", *extra,
+            ]
+            for lg in LOGICS
+            for reading in readings
+            for extra in [[], *SLICES[name][1]]
+        }
     if command == "consistency":
         return {
             f"{name} consistency {lg}": ["consistency", path, "--logic", lg, "--json"]
@@ -72,18 +97,34 @@ def _run(argv: list[str]) -> dict:
 
 
 def _run_all(name: str, command: str, directory: Path) -> dict[str, dict]:
-    (directory / f"{name}.bdl").write_text(DOCUMENTS[name][0], encoding="utf-8")
+    documents = SLICES if command in ("consequences", "closure") else DOCUMENTS
+    (directory / f"{name}.bdl").write_text(documents[name][0], encoding="utf-8")
     return {case: _run(argv) for case, argv in _cases(name, command).items()}
+
+
+def _pinned(cases) -> dict[str, dict]:
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {case: pinned[case] for case in cases}
 
 
 @pytest.mark.parametrize("command", ["check", "consistency"])
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_json_output_is_byte_identical(name, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = _run_all(name, command, tmp_path)
-    want = {case: pinned[case] for case in _cases(name, command)}
-    assert got == want
+    assert got == _pinned(_cases(name, command))
+
+
+@pytest.mark.parametrize("command", ["consequences", "closure"])
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_slice_json_output_is_byte_identical(name, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = _run_all(name, command, tmp_path)
+    assert got == _pinned(_cases(name, command))
+
+
+def test_meta_json_output_is_byte_identical():
+    assert {META_CASE: _run(META_ARGV)} == _pinned([META_CASE])
 
 
 def _record() -> None:
@@ -95,6 +136,10 @@ def _record() -> None:
             for name in sorted(DOCUMENTS):
                 for command in ("check", "consistency"):
                     golden.update(_run_all(name, command, Path(tmp)))
+            for name in sorted(SLICES):
+                for command in ("consequences", "closure"):
+                    golden.update(_run_all(name, command, Path(tmp)))
+            golden[META_CASE] = _run(META_ARGV)
         finally:
             os.chdir(cwd)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
