@@ -27,6 +27,7 @@ from .closure import (
     ClosureScaleError,
     build_universe,
     close,
+    sentence_order_key,
 )
 from .decision import (
     CONSEQUENCE_UNIVERSE_LIMIT,
@@ -36,7 +37,7 @@ from .decision import (
 )
 from .fixtures import FIXTURES, evaluate
 from .metatheory import run_suite
-from .plcore import AtomLimitError, AtomUniverse, models_of, universe_for
+from .plcore import AtomLimitError, AtomUniverse, universe_for
 from .semantics import ScaleLimitError, model_to_dict, render_model
 from .syntax import (
     Belief,
@@ -44,6 +45,7 @@ from .syntax import (
     DocumentParseError,
     InformationSet,
     ParseError,
+    atoms_of,
     parse_information_set,
     parse_sentence,
     render_formula,
@@ -93,8 +95,12 @@ def _logics_from(arg: str) -> tuple[LogicId, ...]:
 def _universe_for_gamma(
     gamma: InformationSet, atoms: Optional[int], limit: int
 ) -> AtomUniverse:
-    """Universe of the set's own atoms, padded to ``--atoms`` if asked."""
-    names = list(universe_for(gamma).atoms)
+    """Universe of the set's own atoms, padded to ``--atoms`` if asked.
+
+    The atoms are counted before any universe is built, so an input over
+    the limit gets this command's message, not the universe's own.
+    """
+    names = sorted(set().union(*(atoms_of(s.body) for s in gamma.sentences)))
     if atoms is not None:
         if atoms < len(names):
             raise _InputError(
@@ -224,19 +230,12 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     return 0 if all(r.fully_consistent() for r in reports) else 1
 
 
-def _sentence_order_key(universe: AtomUniverse):
-    def key(s):
-        return (isinstance(s, Disbelief), models_of(s.body, universe))
-
-    return key
-
-
 def _cmd_consequences(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     universe = _universe_for_gamma(gamma, args.atoms, CONSEQUENCE_UNIVERSE_LIMIT)
     entailed = sorted(
         consequences(args.logic, gamma, universe),
-        key=_sentence_order_key(universe),
+        key=sentence_order_key(universe),
     )
     if args.json:
         _emit(
@@ -266,17 +265,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     universe = _universe_for_gamma(gamma, args.atoms, 2)
     cu = build_universe(universe.n, universe.atoms)
     rules = RULE_SETS[args.logic]
-    derived = sorted(
-        close(rules, args.reading, gamma, cu),
-        key=_sentence_order_key(universe),
-    )
+    order = sentence_order_key(universe)
+    derived = sorted(close(rules, args.reading, gamma, cu), key=order)
     target = consequences(args.logic, gamma, universe)
-    missing = sorted(
-        target - frozenset(derived), key=_sentence_order_key(universe)
-    )
-    extra = sorted(
-        frozenset(derived) - target, key=_sentence_order_key(universe)
-    )
+    missing = sorted(target - frozenset(derived), key=order)
+    extra = sorted(frozenset(derived) - target, key=order)
     rule_names = sorted(r.value for r in rules)
     if args.json:
         _emit(

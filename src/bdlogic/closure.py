@@ -51,6 +51,7 @@ __all__ = [
     "close",
     "Disagreement",
     "readings_agree",
+    "sentence_order_key",
 ]
 
 
@@ -321,6 +322,15 @@ class Disagreement:
         return f"Γ={{{gamma_text}}}: {render_sentence(self.sentence)} ({side})"
 
 
+def sentence_order_key(universe: AtomUniverse):
+    """Sort key for sentences over ``universe``: beliefs first, then by class."""
+
+    def key(s: Sentence) -> tuple[bool, int]:
+        return (isinstance(s, Disbelief), models_of(s.body, universe))
+
+    return key
+
+
 def _consequence_set(
     side: SideSpec, gamma: InformationSet, cu: ClosureUniverse
 ) -> frozenset[Sentence]:
@@ -342,17 +352,13 @@ def readings_agree(
     ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
     """
     records: list[Disagreement] = []
-    u = cu.universe
+    order = sentence_order_key(cu.universe)
     for gamma in samples:
         left = _consequence_set(a, gamma, cu)
         right = _consequence_set(b, gamma, cu)
         if left == right:
             continue
-        diff = sorted(
-            left ^ right,
-            key=lambda s: (isinstance(s, Disbelief), models_of(s.body, u)),
-        )
-        for sentence in diff:
+        for sentence in sorted(left ^ right, key=order):
             records.append(
                 Disagreement(
                     gamma=gamma,

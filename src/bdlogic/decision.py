@@ -23,6 +23,7 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 from .plcore import (
@@ -30,7 +31,6 @@ from .plcore import (
     conjunction_mask,
     formula_for_class,
     models_of,
-    semantic_class,
     universe_for,
 )
 from .syntax import (
@@ -40,7 +40,6 @@ from .syntax import (
     Disbelief,
     Formula,
     InformationSet,
-    Not,
     Sentence,
     Top,
     render_formula,
@@ -62,155 +61,145 @@ __all__ = [
 CONSEQUENCE_UNIVERSE_LIMIT = 2
 
 
-def _not_entailed(logic: LogicId, alpha: Sentence) -> Verdict:
-    return Verdict(logic=logic, query=alpha, entailed=False)
+class _Compiled:
+    """``gamma`` over one universe, as the masks the rules read.
 
-
-def _sorted_disbeliefs(
-    gamma: InformationSet, universe: AtomUniverse
-) -> list[tuple[int, Formula]]:
-    """Disbelieved bodies by model-set mask, ties in rendering order.
-
-    ``disbelief_bodies`` is already in rendering order and the sort is
-    stable, so equal masks keep it without rendering again.
+    Each mask is computed when a rule first reads it, so a ``B:`` query
+    under wbd/gbd/bd never evaluates a disbelieved formula.
     """
-    keyed = [(models_of(body, universe), body) for body in gamma.disbelief_bodies]
-    return sorted(keyed, key=lambda item: item[0])
+
+    def __init__(self, gamma: InformationSet, universe: AtomUniverse):
+        self.gamma = gamma
+        self.universe = universe
+
+    @cached_property
+    def beliefs(self) -> int:
+        """Models of ``G_B``."""
+        return conjunction_mask(self.gamma.belief_bodies, self.universe)
+
+    @cached_property
+    def dual(self) -> int:
+        """Models of ``~G_D``."""
+        return conjunction_mask(self.gamma.dual_bodies, self.universe)
+
+    @cached_property
+    def witnesses(self) -> list[tuple[int, Formula]]:
+        """Disbelieved bodies by model-set mask, ties in rendering order.
+
+        ``disbelief_bodies`` is already in rendering order and the sort is
+        stable, so equal masks keep it without rendering again.
+        """
+        u = self.universe
+        keyed = [(models_of(body, u), body) for body in self.gamma.disbelief_bodies]
+        return sorted(keyed, key=lambda item: item[0])
+
+
+# A rule maps (compiled gamma, is the query a belief, query mask) to the
+# rationale of an entailment, or None.  wbd/gbd/bd share the belief branch.
+
+_BELIEVED = Rationale("B", description="classical consequence of the beliefs")
+_UNSATISFIABLE = Rationale("DBot", description="the queried formula is unsatisfiable")
+
+
+def _belief_rule(c: _Compiled, mask: int) -> Optional[Rationale]:
+    return _BELIEVED if c.beliefs & ~mask == 0 else None
+
+
+def _rule_wbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+    if belief:
+        return _belief_rule(c, mask)
+    if mask == 0:
+        return _UNSATISFIABLE
+    for witness, body in c.witnesses:
+        if mask & ~witness == 0:
+            return Rationale(
+                "WD",
+                witness_disbelief=body,
+                description="the query implies a disbelieved formula",
+            )
+    return None
+
+
+def _rule_gbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+    if belief:
+        return _belief_rule(c, mask)
+    if c.dual & mask == 0:
+        return Rationale(
+            "GD", description="the negated disbeliefs jointly refute the query"
+        )
+    return None
+
+
+def _rule_bd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+    if belief:
+        return _belief_rule(c, mask)
+    if mask == 0:
+        return _UNSATISFIABLE
+    if c.beliefs & mask == 0:
+        return Rationale("BtoD", description="the beliefs classically refute the query")
+    for witness, body in c.witnesses:
+        if c.beliefs & mask & ~witness == 0:
+            return Rationale(
+                "D",
+                witness_disbelief=body,
+                description="the beliefs plus the query imply a disbelieved formula",
+            )
+    return None
+
+
+def _rule_bn(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+    pool = c.beliefs & c.dual
+    if pool & (~mask if belief else mask) == 0:
+        return Rationale(
+            "BN", description="consequence of the beliefs plus the negated disbeliefs"
+        )
+    return None
+
+
+_RULES: dict[LogicId, Callable[[_Compiled, bool, int], Optional[Rationale]]] = {
+    "wbd": _rule_wbd,
+    "gbd": _rule_gbd,
+    "bd": _rule_bd,
+    "bn": _rule_bn,
+}
+
+
+def _decide(
+    logic: LogicId,
+    gamma: InformationSet,
+    alpha: Sentence,
+    universe: AtomUniverse | None,
+) -> Verdict:
+    u = universe if universe is not None else universe_for(gamma, alpha)
+    belief = isinstance(alpha, Belief)
+    rationale = _RULES[logic](_Compiled(gamma, u), belief, models_of(alpha.body, u))
+    return Verdict(
+        logic=logic, query=alpha, entailed=rationale is not None, rationale=rationale
+    )
 
 
 def decide_wbd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else universe_for(gamma, alpha)
-    mask = models_of(alpha.body, u)
-    if isinstance(alpha, Belief):
-        if conjunction_mask(gamma.belief_bodies, u) & ~mask == 0:
-            return Verdict(
-                logic="wbd",
-                query=alpha,
-                entailed=True,
-                rationale=Rationale("B", description="classical consequence of the beliefs"),
-            )
-        return _not_entailed("wbd", alpha)
-    if mask == 0:
-        return Verdict(
-            logic="wbd",
-            query=alpha,
-            entailed=True,
-            rationale=Rationale("DBot", description="the queried formula is unsatisfiable"),
-        )
-    for witness_mask, body in _sorted_disbeliefs(gamma, u):
-        if mask & ~witness_mask == 0:
-            return Verdict(
-                logic="wbd",
-                query=alpha,
-                entailed=True,
-                rationale=Rationale(
-                    "WD",
-                    witness_disbelief=body,
-                    description="the query implies a disbelieved formula",
-                ),
-            )
-    return _not_entailed("wbd", alpha)
+    return _decide("wbd", gamma, alpha, universe)
 
 
 def decide_gbd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else universe_for(gamma, alpha)
-    mask = models_of(alpha.body, u)
-    if isinstance(alpha, Belief):
-        if conjunction_mask(gamma.belief_bodies, u) & ~mask == 0:
-            return Verdict(
-                logic="gbd",
-                query=alpha,
-                entailed=True,
-                rationale=Rationale("B", description="classical consequence of the beliefs"),
-            )
-        return _not_entailed("gbd", alpha)
-    dual = conjunction_mask(gamma.dual_bodies, u)
-    if dual & mask == 0:
-        return Verdict(
-            logic="gbd",
-            query=alpha,
-            entailed=True,
-            rationale=Rationale(
-                "GD",
-                description="the negated disbeliefs jointly refute the query",
-            ),
-        )
-    return _not_entailed("gbd", alpha)
+    return _decide("gbd", gamma, alpha, universe)
 
 
 def decide_bd(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else universe_for(gamma, alpha)
-    mask = models_of(alpha.body, u)
-    beliefs = conjunction_mask(gamma.belief_bodies, u)
-    if isinstance(alpha, Belief):
-        if beliefs & ~mask == 0:
-            return Verdict(
-                logic="bd",
-                query=alpha,
-                entailed=True,
-                rationale=Rationale("B", description="classical consequence of the beliefs"),
-            )
-        return _not_entailed("bd", alpha)
-    if mask == 0:
-        return Verdict(
-            logic="bd",
-            query=alpha,
-            entailed=True,
-            rationale=Rationale("DBot", description="the queried formula is unsatisfiable"),
-        )
-    if beliefs & mask == 0:
-        return Verdict(
-            logic="bd",
-            query=alpha,
-            entailed=True,
-            rationale=Rationale(
-                "BtoD", description="the beliefs classically refute the query"
-            ),
-        )
-    for witness_mask, body in _sorted_disbeliefs(gamma, u):
-        if beliefs & mask & ~witness_mask == 0:
-            return Verdict(
-                logic="bd",
-                query=alpha,
-                entailed=True,
-                rationale=Rationale(
-                    "D",
-                    witness_disbelief=body,
-                    description="the beliefs plus the query imply a disbelieved formula",
-                ),
-            )
-    return _not_entailed("bd", alpha)
+    return _decide("bd", gamma, alpha, universe)
 
 
 def decide_bn(
     gamma: InformationSet, alpha: Sentence, universe: AtomUniverse | None = None
 ) -> Verdict:
-    u = universe if universe is not None else universe_for(gamma, alpha)
-    mask = models_of(alpha.body, u)
-    pool = conjunction_mask(gamma.belief_bodies, u) & conjunction_mask(
-        gamma.dual_bodies, u
-    )
-    if isinstance(alpha, Belief):
-        entailed = pool & ~mask == 0
-    else:
-        entailed = pool & mask == 0
-    if entailed:
-        return Verdict(
-            logic="bn",
-            query=alpha,
-            entailed=True,
-            rationale=Rationale(
-                "BN",
-                description="consequence of the beliefs plus the negated disbeliefs",
-            ),
-        )
-    return _not_entailed("bn", alpha)
+    return _decide("bn", gamma, alpha, universe)
 
 
 _DECIDERS: dict[LogicId, Callable[..., Verdict]] = {
@@ -273,31 +262,20 @@ class InconsistencyReport:
         )
 
 
-def _combined_witness(
-    logic: LogicId, gamma: InformationSet, u: AtomUniverse
-) -> Optional[Formula]:
+def _combined_witness(logic: LogicId, c: _Compiled) -> Optional[Formula]:
     """Smallest-class candidate believed and disbelieved at once, if any."""
-    beliefs = conjunction_mask(gamma.belief_bodies, u)
-    candidates: list[Formula] = []
-    if beliefs == 0:
-        candidates.append(Bottom())
-    for body in gamma.disbelief_bodies:
-        if beliefs & ~models_of(body, u) == 0:
-            candidates.append(body)
-    if logic == "gbd":
-        if beliefs & conjunction_mask(gamma.dual_bodies, u) == 0:
-            merged: Formula = Top()
-            for body in gamma.belief_bodies:
-                merged = body if isinstance(merged, Top) else And(merged, body)
-            candidates.append(merged)
-    if logic == "bn":
-        if beliefs & conjunction_mask(gamma.dual_bodies, u) == 0:
-            candidates.append(Bottom())
+    beliefs = c.beliefs
+    candidates = [(mask, body) for mask, body in c.witnesses if beliefs & ~mask == 0]
+    if beliefs == 0 or (logic == "bn" and beliefs & c.dual == 0):
+        candidates.append((0, Bottom()))
+    if logic == "gbd" and beliefs & c.dual == 0:
+        merged: Formula = Top()
+        for body in c.gamma.belief_bodies:
+            merged = body if isinstance(merged, Top) else And(merged, body)
+        candidates.append((beliefs, merged))
     if not candidates:
         return None
-    return min(
-        candidates, key=lambda f: (semantic_class(f, u), render_formula(f))
-    )
+    return min(candidates, key=lambda item: (item[0], render_formula(item[1])))[1]
 
 
 def inconsistency_report(
@@ -307,18 +285,19 @@ def inconsistency_report(
 
     ``universe`` defaults to the atoms of ``gamma``.
     """
-    if logic not in _DECIDERS:
+    if logic not in _RULES:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
     u = universe if universe is not None else universe_for(gamma)
-    b_inconsistent = conjunction_mask(gamma.belief_bodies, u) == 0
-    top_bar = Disbelief(Top())
-    d_inconsistent = _DECIDERS[logic](gamma, top_bar, u).entailed
-    projection = InformationSet(frozenset(gamma.disbeliefs))
-    d_literal = _DECIDERS[logic](projection, top_bar, u).entailed
-    witness = _combined_witness(logic, gamma, u)
+    rule = _RULES[logic]
+    compiled = _Compiled(gamma, u)
+    # D: true, whose mask is the full one
+    d_inconsistent = rule(compiled, False, u.full_mask) is not None
+    projection = _Compiled(InformationSet(frozenset(gamma.disbeliefs)), u)
+    d_literal = rule(projection, False, u.full_mask) is not None
+    witness = _combined_witness(logic, compiled)
     return InconsistencyReport(
         logic=logic,
-        b_inconsistent=b_inconsistent,
+        b_inconsistent=compiled.beliefs == 0,
         d_inconsistent=d_inconsistent,
         d_inconsistent_literal=d_literal,
         combined_inconsistent=witness is not None,
@@ -337,18 +316,20 @@ def consequences(
 
     The slice has one belief and one disbelief per class (class
     representatives from :func:`formula_for_class`), so it is finite:
-    2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.
+    2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  ``gamma`` is
+    compiled once and each class mask is tested directly; a representative
+    is built only for the entailed ones.
     """
     if universe.n > CONSEQUENCE_UNIVERSE_LIMIT:
         raise ValueError(
             f"consequence enumeration supports at most {CONSEQUENCE_UNIVERSE_LIMIT} "
             f"atoms, got {universe.n}"
         )
-    decider = _DECIDERS[logic]
+    rule = _RULES[logic]
+    compiled = _Compiled(gamma, universe)
     entailed: set[Sentence] = set()
     for mask in range(universe.full_mask + 1):
-        representative = formula_for_class(mask, universe)
-        for sentence in (Belief(representative), Disbelief(representative)):
-            if decider(gamma, sentence, universe).entailed:
-                entailed.add(sentence)
+        for kind in (Belief, Disbelief):
+            if rule(compiled, kind is Belief, mask) is not None:
+                entailed.add(kind(formula_for_class(mask, universe)))
     return frozenset(entailed)

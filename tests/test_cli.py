@@ -212,6 +212,18 @@ class TestConsequences:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("command", ["consequences", "closure"])
+    def test_atoms_beyond_the_universe_cap_get_the_command_limit(
+        self, capsys, tmp_path, command
+    ):
+        # 17 atoms is also over plcore's 16-atom cap; the command's own
+        # 2-atom limit must be the one reported
+        doc = tmp_path / "wide17.bdl"
+        doc.write_text("".join(f"B: a{i}\n" for i in range(17)))
+        code, _, err = run(capsys, command, str(doc))
+        assert code == 2
+        assert "supports at most 2 atoms; the input uses 17" in err
+
     def test_padding_below_used_atoms_is_an_error(self, capsys, murder_file):
         code, _, err = run(capsys, "consequences", murder_file, "--atoms", "2")
         assert code == 2

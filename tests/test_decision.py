@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from bdlogic import (
     CONSEQUENCE_UNIVERSE_LIMIT,
+    LOGICS,
     And,
     Atom,
     AtomUniverse,
@@ -174,6 +175,33 @@ class TestConsequences:
         assert Belief(p) in got
         assert Disbelief(q) in got
 
+    # consequences tests each class mask against gamma compiled once, while
+    # decide compiles gamma per query: the two routes must agree everywhere
+    @staticmethod
+    def _decided(logic, gamma, cu):
+        return frozenset(
+            s for s in cu.sentences if decide(logic, gamma, s, cu.universe).entailed
+        )
+
+    @pytest.mark.parametrize("logic", LOGICS)
+    def test_agrees_with_decide_on_every_one_atom_set(self, logic, cu1):
+        pool = cu1.sentences
+        for bits in range(1 << len(pool)):
+            gamma = InformationSet(
+                frozenset(s for k, s in enumerate(pool) if bits >> k & 1)
+            )
+            assert consequences(logic, gamma, cu1.universe) == self._decided(
+                logic, gamma, cu1
+            )
+
+    @pytest.mark.parametrize("logic", LOGICS)
+    @settings(max_examples=30)
+    @given(gamma=information_sets(max_size=4, max_leaves=4))
+    def test_agrees_with_decide_on_two_atom_sets(self, logic, gamma, cu2):
+        assert consequences(logic, gamma, cu2.universe) == self._decided(
+            logic, gamma, cu2
+        )
+
     def test_universe_guard(self):
         big = AtomUniverse(tuple("abc"))
         assert len(big.atoms) > CONSEQUENCE_UNIVERSE_LIMIT
@@ -222,24 +250,33 @@ class TestInconsistencyReport:
         clash = bel == 0 or any(
             bel & ~models_of(psi, u2) == 0 for psi in gamma.disbelief_bodies
         )
-        for logic in MODEL_LOGICS:
+        projection = InformationSet(frozenset(gamma.disbeliefs))
+        for logic in LOGICS:
             rep = inconsistency_report(logic, gamma)
             # combined inconsistency == beliefs prove something disbelieved
-            # (gbd additionally pools the rejected formulas into one source)
+            # (gbd and bn additionally pool the rejected formulas into one source)
             expected = clash
-            if logic == "gbd":
+            if logic in ("gbd", "bn"):
                 expected = (
                     expected
                     or bel & conjunction_mask(gamma.dual_bodies, u2) == 0
                 )
             assert rep.combined_inconsistent == expected
-            # belief inconsistency == the falsum is believed
-            assert rep.b_inconsistent == decide(
-                logic, gamma, Belief(Bottom())
-            ).entailed
+            # belief inconsistency == the falsum is believed; in bn the
+            # negated disbeliefs alone can also make the falsum believed
+            if logic == "bn":
+                assert rep.b_inconsistent == (bel == 0)
+            else:
+                assert rep.b_inconsistent == decide(
+                    logic, gamma, Belief(Bottom())
+                ).entailed
             # the full-set disbelief flag is exactly the trivialization query
             assert rep.d_inconsistent == decide(
                 logic, gamma, Disbelief(Top())
+            ).entailed
+            # ... and the literal flag is that query on the disbeliefs alone
+            assert rep.d_inconsistent_literal == decide(
+                logic, projection, Disbelief(Top())
             ).entailed
         # in bd, trivialization and combined inconsistency coincide
         assert inconsistency_report("bd", gamma).combined_inconsistent == decide(
