@@ -14,19 +14,20 @@ single source) is contained in the models of ``!f``.  Empty family members
 are permitted — they are what lets a model with an empty ``m`` exist at all
 in BD, so information sets with inconsistent beliefs still have models.
 
-``brute_force_entails`` enumerates the *entire* model space of a universe
-(vectorized with numpy; roughly 10^6 WBD models at two atoms) and is the
-independent oracle the decision procedures are validated against.  It knows
-nothing about the characterizations it checks.
+``brute_force_entails`` ranges over the *entire* model space of a universe
+and is the independent oracle the decision procedures are validated
+against.  It knows nothing about the characterizations it checks.  Since a
+belief constrains only ``m`` and a disbelief only the sources, it reduces a
+set of sentences once per axis (a numpy vector over ``m`` and one over
+``n`` or the families) instead of testing every (m, sources) pair; numpy is
+imported only when a model space is first built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .plcore import (
     AtomUniverse,
@@ -38,6 +39,9 @@ from .plcore import (
 )
 from .syntax import Belief, Disbelief, Formula, InformationSet, Not, Sentence
 from .verdicts import LogicId, Verdict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelWBD",
@@ -139,23 +143,33 @@ def holds_all(model: Model, gamma: InformationSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized model spaces
+# Model spaces, reduced per axis
 
 _FAMILY_LOGIC_LIMIT = 2  # wbd/bd: 2^(2^(2^n)) families beyond this
 _GBD_LIMIT = 3
 
 
 class _ModelSpace:
-    """Every model of one logic over one universe, as component arrays.
+    """Every model of one logic over one universe, one axis at a time.
 
-    Enumeration order is fixed: ``m`` ascending in the outer dimension, the
-    family (or source ``n``) ascending in the inner dimension, families
-    encoded as bitmasks over world-set indices (index == world-set mask).
-    ``sat`` returns a boolean array over that full grid; for BD a validity
-    grid masks out families that are not subsets of ``m``.
+    A model is a pair ``(m, inner)``: ``m`` is a world set, and ``inner``
+    is the source world set ``n`` (gbd) or a nonempty family encoded as a
+    bitmask over world-set indices (wbd/bd; index == world-set mask).
+    Enumeration order is fixed: ``m`` ascending, then ``inner`` ascending.
+
+    A belief constrains only ``m`` and a disbelief only ``inner``, so a set
+    of sentences is a boolean vector over each axis (``column`` over ``m``,
+    ``row`` over ``inner``) and its models are the pairs whose two entries
+    hold.  bd also needs every member within ``m``: family ``f`` fits ``m``
+    iff ``need[f] & ~m == 0``, ``need[f]`` being the union of its members.
+    bd keeps its families grouped by ``need`` (ascending values within a
+    group), so which ``m`` a row admits is one ``logical_or.reduceat``
+    over the row plus a lookup in a groups-by-``m`` table.
     """
 
     def __init__(self, logic: LogicId, universe: AtomUniverse):
+        import numpy as np
+
         if logic in ("wbd", "bd") and universe.n > _FAMILY_LOGIC_LIMIT:
             raise ScaleLimitError(
                 f"{logic} enumeration supports at most {_FAMILY_LOGIC_LIMIT} atoms, "
@@ -170,72 +184,109 @@ class _ModelSpace:
         self.logic = logic
         self.universe = universe
         self.world_sets = 1 << universe.world_count  # S
-        self.full_world_mask = universe.full_mask
-        self.m_values = np.arange(self.world_sets, dtype=np.uint32).reshape(-1, 1)
+        self.m_values = np.arange(self.world_sets, dtype=np.uint32)
+        self.need: np.ndarray | None = None
+        self.starts: np.ndarray | None = None
+        self.fits: np.ndarray | None = None
         if logic == "gbd":
-            # the inner dimension is the single source world set
-            self.inner = np.arange(self.world_sets, dtype=np.uint32).reshape(1, -1)
+            self.inner = np.arange(self.world_sets, dtype=np.uint32)
+        elif logic == "wbd":
+            self.inner = np.arange(1, 1 << self.world_sets, dtype=np.uint32)
         else:
-            # the inner dimension is a nonempty family, encoded as a bitmask
-            # over world-set indices
-            self.inner = np.arange(
-                1, 1 << self.world_sets, dtype=np.uint32
-            ).reshape(1, -1)
-        if logic == "bd":
-            submasks = np.array(
-                [self._submask(m) for m in range(self.world_sets)], dtype=np.uint32
-            ).reshape(-1, 1)
-            not_sub = submasks ^ np.uint32((1 << self.world_sets) - 1)
-            self.valid = (self.inner & not_sub) == 0
-        else:
-            self.valid = None
-        self._sat_cache: dict[tuple[bool, int], np.ndarray] = {}
+            # need[f] by doubling: adding world set i to the families below
+            # bit i ORs i into their union
+            need = np.zeros(1 << self.world_sets, dtype=np.uint32)
+            for i in range(self.world_sets):
+                need[1 << i : 2 << i] = need[: 1 << i] | np.uint32(i)
+            order = np.argsort(need[1:], kind="stable")
+            self.inner = (order + 1).astype(np.uint32)
+            self.need = need[1:][order]
+            self.starts = np.flatnonzero(
+                np.concatenate(([True], self.need[1:] != self.need[:-1]))
+            )
+            group_need = self.need[self.starts]
+            self.fits = (group_need[:, None] & ~self.m_values[None, :]) == 0
+        self._rows: dict[int, np.ndarray] = {}
 
-    def _submask(self, m: int) -> int:
-        return sum(1 << i for i in range(self.world_sets) if i & ~m == 0)
+    def belief_column(self, class_mask: int) -> np.ndarray:
+        """Over ``m``: does ``B: f`` hold, ``class_mask`` being ``f``'s models."""
+        import numpy as np
 
-    def sat(self, kind_belief: bool, class_mask: int) -> np.ndarray:
-        key = (kind_belief, class_mask)
-        cached = self._sat_cache.get(key)
-        if cached is not None:
-            return cached
-        if kind_belief:
-            not_mask = np.uint32(self.full_world_mask & ~class_mask)
-            column = (self.m_values & not_mask) == 0
-            grid = np.broadcast_to(column, (self.m_values.shape[0], self.inner.shape[1]))
-        else:
-            neg = self.full_world_mask & ~class_mask
+        outside = np.uint32(self.universe.full_mask & ~class_mask)
+        return (self.m_values & outside) == 0
+
+    def disbelief_row(self, class_mask: int) -> np.ndarray:
+        """Over ``inner``: does ``D: f`` hold, ``class_mask`` being ``f``'s models."""
+        import numpy as np
+
+        row = self._rows.get(class_mask)
+        if row is None:
             if self.logic == "gbd":
-                not_neg = np.uint32(self.full_world_mask & ~neg)
-                row = (self.inner & not_neg) == 0
+                # the source refutes f: n within the complement of f
+                row = (self.inner & np.uint32(class_mask)) == 0
             else:
+                # some member within the complement of f
+                neg = self.universe.full_mask & ~class_mask
                 good = sum(1 << i for i in range(self.world_sets) if i & ~neg == 0)
                 row = (self.inner & np.uint32(good)) != 0
-            grid = np.broadcast_to(row, (self.m_values.shape[0], self.inner.shape[1]))
-        self._sat_cache[key] = grid
-        return grid
+            self._rows[class_mask] = row
+        return row
 
-    def sat_sentence(self, sentence: Sentence) -> np.ndarray:
-        mask = models_of(sentence.body, self.universe)
-        return self.sat(isinstance(sentence, Belief), mask)
+    def axes(self, gamma: InformationSet) -> tuple[np.ndarray, np.ndarray]:
+        """``gamma`` as (column over ``m``, row over ``inner``)."""
+        import numpy as np
 
-    def gamma_grid(self, gamma: InformationSet) -> np.ndarray:
-        grid = self.valid if self.valid is not None else None
-        result = None
+        column = np.ones(self.world_sets, dtype=bool)
+        row = np.ones(self.inner.shape[0], dtype=bool)
         for sentence in gamma:
-            s = self.sat_sentence(sentence)
-            result = s.copy() if result is None else (result & s)
-        if result is None:
-            shape = (self.m_values.shape[0], self.inner.shape[1])
-            result = np.ones(shape, dtype=bool)
-        if grid is not None:
-            result = result & grid
-        return result
+            mask = models_of(sentence.body, self.universe)
+            if isinstance(sentence, Belief):
+                column &= self.belief_column(mask)
+            else:
+                row &= self.disbelief_row(mask)
+        return column, row
 
-    def decode(self, flat_index: int) -> Model:
-        inner_count = self.inner.shape[1]
-        m = int(flat_index // inner_count)
-        inner_value = int(self.inner[0, flat_index % inner_count])
+    def admitted(self, row: np.ndarray) -> np.ndarray:
+        """Over ``m``: does some ``inner`` value of ``row`` make a model with it."""
+        import numpy as np
+
+        if self.fits is None:
+            return np.full(self.world_sets, bool(row.any()))
+        present = np.logical_or.reduceat(row, self.starts)
+        return self.fits[present].any(axis=0)
+
+    def fitting(self, row: np.ndarray, m: int) -> np.ndarray:
+        """The ``inner`` values of ``row`` that make a model with ``m``."""
+        if self.need is None:
+            return self.inner[row]
+        return self.inner[row & ((self.need & ~self.m_values[m]) == 0)]
+
+    def first_model(self, column: np.ndarray, row: np.ndarray) -> Model | None:
+        """The first model of ``(column, row)`` in enumeration order."""
+        import numpy as np
+
+        candidates = column & self.admitted(row)
+        if not candidates.any():
+            return None
+        m = int(np.argmax(candidates))
+        return self.decode(m, int(self.fitting(row, m).min()))
+
+    def models(self, column: np.ndarray, row: np.ndarray) -> Iterator[Model]:
+        import numpy as np
+
+        for m in np.flatnonzero(column):
+            for inner_value in np.sort(self.fitting(row, int(m))):
+                yield self.decode(int(m), int(inner_value))
+
+    def count(self, column: np.ndarray, row: np.ndarray) -> int:
+        import numpy as np
+
+        if self.fits is None:
+            return int(column.sum()) * int(row.sum())
+        per_group = np.add.reduceat(row.astype(np.int64), self.starts)
+        return int((per_group @ self.fits)[column].sum())
+
+    def decode(self, m: int, inner_value: int) -> Model:
         if self.logic == "gbd":
             return ModelGBD(m=m, n=inner_value, universe=self.universe)
         family = frozenset(
@@ -263,12 +314,16 @@ def brute_force_entails(
     """
     u = universe if universe is not None else universe_for(gamma, alpha)
     space = _model_space(logic, u.atoms)
-    violating = space.gamma_grid(gamma) & ~space.sat_sentence(alpha)
-    flat = violating.reshape(-1)
-    if not flat.any():
+    column, row = space.axes(gamma)
+    mask = models_of(alpha.body, u)
+    if isinstance(alpha, Belief):
+        column = column & ~space.belief_column(mask)
+    else:
+        row = row & ~space.disbelief_row(mask)
+    witness = space.first_model(column, row)
+    if witness is None:
         return Verdict(logic=logic, query=alpha, entailed=True)
-    first = int(np.argmax(flat))
-    return Verdict(logic=logic, query=alpha, entailed=False, witness=space.decode(first))
+    return Verdict(logic=logic, query=alpha, entailed=False, witness=witness)
 
 
 def brute_force_consequences(
@@ -277,17 +332,18 @@ def brute_force_consequences(
     """Entailed slice over all class representatives, by model enumeration.
 
     Same answers as calling ``brute_force_entails`` once per sentence of the
-    universe, but the model grid for ``gamma`` is built a single time.
+    universe, but ``gamma`` is reduced to its two axes a single time.
     """
     space = _model_space(logic, universe.atoms)
-    grid = space.gamma_grid(gamma)
+    column, row = space.axes(gamma)
+    admitted = space.admitted(row)
     out: set[Sentence] = set()
     for mask in range(universe.full_mask + 1):
-        rep = formula_for_class(mask, universe)
-        for kind_belief in (True, False):
-            sat = space.sat(kind_belief, mask)
-            if not bool(np.any(grid & ~sat)):
-                out.add(Belief(rep) if kind_belief else Disbelief(rep))
+        # a belief query narrows only the column, so the row's reach is shared
+        if not (column & admitted & ~space.belief_column(mask)).any():
+            out.add(Belief(formula_for_class(mask, universe)))
+        if not (column & space.admitted(row & ~space.disbelief_row(mask))).any():
+            out.add(Disbelief(formula_for_class(mask, universe)))
     return frozenset(out)
 
 
@@ -296,14 +352,12 @@ def enumerate_models(
 ) -> Iterator[Model]:
     """All models of ``gamma`` over ``universe``, in enumeration order."""
     space = _model_space(logic, universe.atoms)
-    flat = space.gamma_grid(gamma).reshape(-1)
-    for index in np.nonzero(flat)[0]:
-        yield space.decode(int(index))
+    yield from space.models(*space.axes(gamma))
 
 
 def count_models(logic: LogicId, gamma: InformationSet, universe: AtomUniverse) -> int:
     space = _model_space(logic, universe.atoms)
-    return int(space.gamma_grid(gamma).sum())
+    return space.count(*space.axes(gamma))
 
 
 # ---------------------------------------------------------------------------

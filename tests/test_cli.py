@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,35 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent.bdl", "--query", "B: p")
         assert code == 2
         assert err
+
+
+def test_commands_without_the_oracle_never_load_numpy(murder_file, agnostic_file):
+    script = f"""
+import contextlib, io, json, sys
+from bdlogic.cli import main
+runs = [
+    ["check", {murder_file!r}, "--query", "D: k", "--countermodel", "--json"],
+    ["consistency", {murder_file!r}, "--json"],
+    ["consequences", {agnostic_file!r}, "--json"],
+    ["closure", {agnostic_file!r}, "--json"],
+    ["examples", "murder", "--json"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
+"""
+    import bdlogic
+
+    src = str(Path(bdlogic.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"codes": [1, 0, 0, 0, 0], "numpy": False}
 
 
 @pytest.mark.parametrize(

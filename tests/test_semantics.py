@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdlogic import (
     And,
@@ -41,6 +45,104 @@ from conftest import information_sets, sentences
 
 p, q = Atom("p"), Atom("q")
 LOGICS = ("wbd", "gbd", "bd")
+U2 = AtomUniverse(("p", "q"))
+U3 = AtomUniverse(("p", "q", "r"))
+
+
+def class_sentences(universe):
+    """One belief and one disbelief per semantic class, classes ascending."""
+    out = []
+    for mask in range(universe.full_mask + 1):
+        rep = formula_for_class(mask, universe)
+        out += [Belief(rep), Disbelief(rep)]
+    return out
+
+
+# --------------------------------------------------------------------------
+# references for the oracle
+
+
+def python_models(logic, universe):
+    """Every model of ``logic`` over ``universe``, in the oracle's order.
+
+    ``m`` ascending, then the source ``n`` or the family's bitmask over
+    world-set indices ascending; a bd candidate is kept only when
+    ``ModelBD`` accepts it.
+    """
+    world_sets = 1 << universe.world_count
+    for m in range(world_sets):
+        if logic == "gbd":
+            for n in range(world_sets):
+                yield ModelGBD(m, n, universe)
+            continue
+        for bits in range(1, 1 << world_sets):
+            family = frozenset(i for i in range(world_sets) if bits >> i & 1)
+            if logic == "wbd":
+                yield ModelWBD(m, family, universe)
+                continue
+            try:
+                model = ModelBD(m, family, universe)
+            except ValueError:
+                continue
+            yield model
+
+
+class ReferenceGrid:
+    """The full (m, source-or-family) grid of one model space, in numpy.
+
+    One cell per candidate model, laid out in the oracle's enumeration
+    order (row ``m``, column ``n`` or family bitmask); bd cells whose family
+    leaves ``m`` are masked out.  Every query scans the whole grid.
+    """
+
+    def __init__(self, logic, universe):
+        self.logic = logic
+        self.universe = universe
+        self.world_sets = world_sets = 1 << universe.world_count
+        self.m = np.arange(world_sets, dtype=np.uint32).reshape(-1, 1)
+        first = 0 if logic == "gbd" else 1
+        inner_end = world_sets if logic == "gbd" else 1 << world_sets
+        self.inner = np.arange(first, inner_end, dtype=np.uint32).reshape(1, -1)
+        self.valid = np.ones((world_sets, self.inner.shape[1]), dtype=bool)
+        if logic == "bd":
+            inside = np.array(
+                [sum(1 << i for i in range(world_sets) if i & ~m == 0)
+                 for m in range(world_sets)],
+                dtype=np.uint32,
+            ).reshape(-1, 1)
+            self.valid = (self.inner & ~inside) == 0
+
+    def sat(self, sentence):
+        full = self.universe.full_mask
+        mask = models_of(sentence.body, self.universe)
+        if isinstance(sentence, Belief):
+            cells = (self.m & np.uint32(full & ~mask)) == 0
+        elif self.logic == "gbd":
+            cells = (self.inner & np.uint32(mask)) == 0
+        else:
+            neg = full & ~mask
+            good = sum(1 << i for i in range(self.world_sets) if i & ~neg == 0)
+            cells = (self.inner & np.uint32(good)) != 0
+        return np.broadcast_to(cells, self.valid.shape)
+
+    def models(self, gamma):
+        grid = self.valid.copy()
+        for sentence in gamma:
+            grid &= self.sat(sentence)
+        return grid
+
+    def decode(self, flat_index):
+        m, column = divmod(int(flat_index), self.inner.shape[1])
+        inner = int(self.inner[0, column])
+        if self.logic == "gbd":
+            return ModelGBD(m, inner, self.universe)
+        family = frozenset(i for i in range(self.world_sets) if inner >> i & 1)
+        cls = ModelWBD if self.logic == "wbd" else ModelBD
+        return cls(m, family, self.universe)
+
+    def first_countermodel(self, gamma, alpha):
+        flat = (self.models(gamma) & ~self.sat(alpha)).reshape(-1)
+        return self.decode(np.argmax(flat)) if flat.any() else None
 
 
 class TestModelValidation:
@@ -166,6 +268,16 @@ class TestOracleVerdicts:
         assert first == second
 
     @pytest.mark.parametrize("logic", LOGICS)
+    @settings(max_examples=15)
+    @given(gamma=information_sets(max_size=4, max_leaves=4))
+    def test_first_countermodel_is_the_first_violating_cell(self, logic, gamma, u2):
+        reference = ReferenceGrid(logic, u2)
+        for alpha in class_sentences(u2):
+            verdict = brute_force_entails(logic, gamma, alpha, u2)
+            assert verdict.witness == reference.first_countermodel(gamma, alpha)
+            assert verdict.entailed == (verdict.witness is None)
+
+    @pytest.mark.parametrize("logic", LOGICS)
     @settings(max_examples=25)
     @given(gamma=information_sets(max_size=3, max_leaves=4))
     def test_consequence_slice_matches_per_query_checks(self, logic, gamma, u2):
@@ -176,6 +288,67 @@ class TestOracleVerdicts:
                 assert (alpha in slice_) == brute_force_entails(
                     logic, gamma, alpha, u2
                 ).entailed
+
+
+class TestOracleAgainstDefinitions:
+    @pytest.mark.parametrize("logic", LOGICS)
+    def test_every_one_atom_set_matches_plain_enumeration(self, logic, u1):
+        sentences = class_sentences(u1)
+        models = list(python_models(logic, u1))
+        holds = [
+            sum(1 << j for j, s in enumerate(sentences) if satisfies(model, s))
+            for model in models
+        ]
+        for chosen in range(1 << len(sentences)):
+            gamma = InformationSet(
+                frozenset(s for j, s in enumerate(sentences) if chosen >> j & 1)
+            )
+            kept = [(m, h) for m, h in zip(models, holds) if h & chosen == chosen]
+            assert list(enumerate_models(logic, gamma, u1)) == [m for m, _ in kept]
+            assert count_models(logic, gamma, u1) == len(kept)
+            expected = {
+                s for j, s in enumerate(sentences) if all(h >> j & 1 for _, h in kept)
+            }
+            assert brute_force_consequences(logic, gamma, u1) == expected
+            for j, alpha in enumerate(sentences):
+                first = next((m for m, h in kept if not h >> j & 1), None)
+                assert brute_force_entails(logic, gamma, alpha, u1).witness == first
+
+    def test_bd_lists_families_in_bitmask_order_not_by_union(self, u2):
+        # within m = {v0, v1, v2}, the family {{v0, v1}, {v2}} (bitmask 24,
+        # union {v0, v1, v2}) comes before {{v0, v2}} (bitmask 32, union
+        # {v0, v2}): the order is by bitmask, whatever the members' union
+        gamma = parse_information_set("B: !(p & q)")
+        reference = ReferenceGrid("bd", u2)
+        cells = np.flatnonzero(reference.models(gamma).reshape(-1))
+        listed = list(enumerate_models("bd", gamma, u2))
+        assert listed == [reference.decode(i) for i in cells]
+        assert listed.index(ModelBD(0b111, frozenset({0b011, 0b100}), u2)) < listed.index(
+            ModelBD(0b111, frozenset({0b101}), u2)
+        )
+
+    @pytest.mark.parametrize(
+        ("logic", "universe"),
+        [("wbd", U2), ("gbd", U2), ("bd", U2), ("gbd", U3)],
+        ids=["wbd-2", "gbd-2", "bd-2", "gbd-3"],
+    )
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_sampled_sets_match_the_full_grid(self, logic, universe, data):
+        gamma = data.draw(information_sets(universe.atoms, max_size=4, max_leaves=4))
+        reference = ReferenceGrid(logic, universe)
+        grid = reference.models(gamma)
+        assert count_models(logic, gamma, universe) == int(grid.sum())
+        listed = itertools.islice(enumerate_models(logic, gamma, universe), 20)
+        assert list(listed) == [
+            reference.decode(i) for i in np.flatnonzero(grid.reshape(-1))[:20]
+        ]
+        expected = {
+            alpha
+            for alpha in class_sentences(universe)
+            if not (grid & ~reference.sat(alpha)).any()
+        }
+        assert brute_force_consequences(logic, gamma, universe) == expected
 
 
 class TestCountermodelConstruction:
