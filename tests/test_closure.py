@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +26,7 @@ from bdlogic import (
     parse_information_set,
     parse_sentence,
     readings_agree,
+    render_sentence,
 )
 
 from conftest import information_sets
@@ -257,3 +261,52 @@ class TestEngineLimits:
         )
         # the seed pair is combined-consistent, so discharge adds nothing
         assert augmented == close(RULE_SETS["bd"], "derivability", gamma, cu2)
+
+
+# Rule sets whose derivability reading builds augmented sets (DPrime's
+# "the set plus f", BPrime's "the set plus D: f"), pinned under both
+# readings on every one-atom set and a seeded sample of two-atom sets.  The
+# digest was recorded before the engine registered each augmented set once
+# per class; print ``augmented_closures_digest`` to re-record it for an
+# intended change of output.
+AUGMENTED_RULE_SETS = {
+    "dprime": frozenset({Rule.B, Rule.DBot, Rule.DPrime}),
+    "bd+bprime": RULE_SETS["bd"] | {Rule.BPrime},
+    "bn+dprime": RULE_SETS["bn"] | {Rule.DPrime},
+}
+AUGMENTED_CLOSURES_SHA256 = (
+    "41677eda494763be44180733d31b8b6f47e5e760227238f22b9e38c285e9d2ad"
+)
+
+
+def _render_set(sentences) -> str:
+    return "{" + "; ".join(sorted(render_sentence(s) for s in sentences)) + "}"
+
+
+def augmented_closures_digest(cu1, cu2) -> str:
+    """SHA-256 over the sorted rendered closures of the pinned inputs."""
+    one_atom = cu1.sentences
+    inputs = [
+        (cu1, InformationSet(frozenset(s for i, s in enumerate(one_atom) if k >> i & 1)))
+        for k in range(256)
+    ]
+    rng = random.Random("augmented-closures")
+    inputs += [
+        (cu2, InformationSet(frozenset(rng.sample(cu2.sentences, rng.randint(0, 4)))))
+        for _ in range(40)
+    ]
+    lines = []
+    for name, rules in AUGMENTED_RULE_SETS.items():
+        for reading in ("membership", "derivability"):
+            for cu, gamma in inputs:
+                head = f"{name} {reading} {cu.universe.n} {_render_set(gamma)}"
+                try:
+                    derived = _render_set(close(rules, reading, gamma, cu))
+                except ClosureScaleError:
+                    derived = "ClosureScaleError"
+                lines.append(f"{head} -> {derived}")
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def test_augmented_closures_are_pinned(cu1, cu2):
+    assert augmented_closures_digest(cu1, cu2) == AUGMENTED_CLOSURES_SHA256

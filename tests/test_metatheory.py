@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -12,6 +13,7 @@ from bdlogic.metatheory import (
     generate_information_set,
     run_suite,
 )
+from bdlogic.syntax import render_sentence
 
 # a light but representative slice — the full suite runs in the acceptance
 # gate and via `bdl meta`
@@ -105,3 +107,43 @@ class TestGenerateInformationSet:
         allowed = set(cu1.sentences)
         for _ in range(30):
             assert set(generate_information_set(cu1, 5, rng)) <= allowed
+
+
+# Cheap cases that a consequence operation missing one sentence breaks.
+FAILURE_PATH_CASES = ["collapse-bn", "strength-ordering", "tarskian-bd"]
+# SHA-256 of their failing report, recorded before the cases shared one
+# tally: which counterexamples are kept, and their order, are output too.
+FAILURE_REPORT_SHA256 = (
+    "d98fb454d3d57da6e0335f16e212f68d46818721351d9c8c6ade661b049b8be1"
+)
+
+
+def test_a_wrong_decision_procedure_is_reported(monkeypatch):
+    """Drive cases down their failure path with a broken ``consequences``.
+
+    The mutant drops the first sentence (by rendering) from every gbd, bd
+    and bn slice.  Each case must fail with at most three counterexamples
+    while running exactly the checks, and writing exactly the summary, of
+    the unpatched run.
+    """
+    from bdlogic import metatheory
+
+    good = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+    real = metatheory.consequences
+
+    def mutant(logic, gamma, universe):
+        cons = real(logic, gamma, universe)
+        if logic == "wbd" or not cons:
+            return cons
+        return cons - {min(cons, key=render_sentence)}
+
+    monkeypatch.setattr(metatheory, "consequences", mutant)
+    bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+    assert not bad.all_passed
+    for ok, broken in zip(good.results, bad.results):
+        assert ok.passed and not broken.passed, broken.case_id
+        assert 1 <= len(broken.counterexamples) <= 3, broken.case_id
+        assert broken.cases_run == ok.cases_run, broken.case_id
+        assert broken.summary == ok.summary, broken.case_id
+    digest = hashlib.sha256(bad.to_json().encode()).hexdigest()
+    assert digest == FAILURE_REPORT_SHA256
