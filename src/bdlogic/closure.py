@@ -157,19 +157,21 @@ class _Engine:
             and not rules & {Rule.WD, Rule.GD, Rule.DtoB}
         )
 
+    def _conj(self, beliefs: Iterable[int]) -> int:
+        """The class of the conjunction of the given belief classes."""
+        conj = self.full
+        for c in beliefs:
+            conj &= c
+        return conj
+
     def _key(self, sb: frozenset[int], sd: frozenset[int]) -> tuple:
         if self.reading == "derivability" and Rule.B in self.rules:
-            conj = self.full
-            for c in sb:
-                conj &= c
-            return ("conj", conj, sd)
+            return ("conj", self._conj(sb), sd)
         return ("set", sb, sd)
 
     def register(self, sb: frozenset[int], sd: frozenset[int]) -> _SetState:
         if self._canonical_seeds and sd:
-            conj = self.full
-            for c in sb:
-                conj &= c
+            conj = self._conj(sb)
             restricted = {conj & psi for psi in sd}
             sd = frozenset(
                 p
@@ -206,9 +208,7 @@ class _Engine:
         membership = self.reading == "membership"
         bel_src = state.seed_beliefs if membership else state.beliefs
         dis_src = state.seed_disbeliefs if membership else state.disbeliefs
-        conj = self.full
-        for c in bel_src:
-            conj &= c
+        conj = self._conj(bel_src)
         add_b: set[int] = set()
         add_d: set[int] = set()
 
@@ -244,32 +244,34 @@ class _Engine:
                     for c in self.classes:
                         if psi in state.seed_beliefs or psi == c:
                             add_d.add(c)
-            else:
-                for psi in sorted(dis_src):
-                    for c in self.classes:
-                        if c in state.disbeliefs or c in add_d:
-                            continue
-                        child = self.register(
-                            state.seed_beliefs | {c}, state.seed_disbeliefs
-                        )
-                        if psi in child.beliefs:
-                            add_d.add(c)
+            elif dis_src:
+                # one augmented set per class: disbelieve c when the set
+                # plus B: c comes to believe something disbelieved
+                for c in self.classes:
+                    if c in state.disbeliefs or c in add_d:
+                        continue
+                    child = self.register(
+                        state.seed_beliefs | {c}, state.seed_disbeliefs
+                    )
+                    if not child.beliefs.isdisjoint(dis_src):
+                        add_d.add(c)
         if Rule.BPrime in self.rules:
             if membership:
                 for psi in bel_src:
                     for c in self.classes:
                         if psi in state.seed_disbeliefs or psi == c:
                             add_b.add(c)
-            else:
-                for psi in sorted(bel_src):
-                    for c in self.classes:
-                        if c in state.beliefs or c in add_b:
-                            continue
-                        child = self.register(
-                            state.seed_beliefs, state.seed_disbeliefs | {c}
-                        )
-                        if psi in child.disbeliefs:
-                            add_b.add(c)
+            elif bel_src:
+                # believe c when the set plus D: c comes to disbelieve
+                # something believed
+                for c in self.classes:
+                    if c in state.beliefs or c in add_b:
+                        continue
+                    child = self.register(
+                        state.seed_beliefs, state.seed_disbeliefs | {c}
+                    )
+                    if not child.disbeliefs.isdisjoint(bel_src):
+                        add_b.add(c)
 
         grew = not (add_b <= state.beliefs and add_d <= state.disbeliefs)
         state.beliefs |= add_b
