@@ -97,24 +97,26 @@ def _universe_for_gamma(
 ) -> AtomUniverse:
     """Universe of the set's own atoms, padded to ``--atoms`` if asked.
 
-    The atoms are counted before any universe is built, so an input over
-    the limit gets this command's message, not the universe's own.
+    The atoms, and the ``--atoms`` request, are checked against the limit
+    before any padding or universe is built, so an input over the limit
+    gets this command's message, not the universe's own or a failed pad.
     """
     names = sorted(set().union(*(atoms_of(s.body) for s in gamma.sentences)))
+    if atoms is not None and atoms < len(names):
+        raise _InputError(
+            f"--atoms {atoms} is smaller than the {len(names)} atoms used"
+        )
+    used = max(len(names), atoms or 0)
+    if used > limit:
+        raise _InputError(
+            f"this command enumerates all semantic classes and supports at "
+            f"most {limit} atoms; the input uses {used}"
+        )
     if atoms is not None:
-        if atoms < len(names):
-            raise _InputError(
-                f"--atoms {atoms} is smaller than the {len(names)} atoms used"
-            )
         pool = [c for c in "pq" + "abcdefghijklmnorstuvwxyz" if c not in names]
         while len(names) < atoms:
             names.append(pool.pop(0))
         names.sort()
-    if len(names) > limit:
-        raise _InputError(
-            f"this command enumerates all semantic classes and supports at "
-            f"most {limit} atoms; the input uses {len(names)}"
-        )
     if not names:
         names = ["p"]
     return AtomUniverse(names)

@@ -256,6 +256,21 @@ class TestConsequences:
         assert code == 2
         assert "supports at most 2 atoms; the input uses 17" in err
 
+    @pytest.mark.parametrize("command", ["consequences", "closure"])
+    @pytest.mark.parametrize("atoms,uses", [("3", 3), ("30", 30)])
+    def test_padding_beyond_the_limit_is_refused(
+        self, capsys, tmp_path, command, atoms, uses
+    ):
+        # 30 atoms is more than the padding pool holds; the limit is checked
+        # before padding, so the request is refused, not a traceback
+        doc = tmp_path / "one.bdl"
+        doc.write_text("B: p\n")
+        code, out, err = run(capsys, command, str(doc), "--atoms", atoms)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"supports at most 2 atoms; the input uses {uses}" in err
+
     def test_padding_below_used_atoms_is_an_error(self, capsys, murder_file):
         code, _, err = run(capsys, "consequences", murder_file, "--atoms", "2")
         assert code == 2
