@@ -9,6 +9,14 @@ to fail: a case with expectation ``fails-with-witness`` passes exactly
 when the failure is rediscovered with its canonical witness and the
 repaired or restated form checks out.
 
+A case body states only its property.  The context ``_Ctx`` it runs in
+keeps the tally (the check count, and the failure messages, each built
+only when its check fails) and carries the two samplers: sets over a
+universe of one or two atoms drawn at random, and every 1-atom set
+followed by random 2-atom sets.  The samplers fix the order in which a
+case draws from its random generator, so a seed keeps selecting the same
+sets.
+
 Reports are reproducible: the same ``(seed, scale)`` always runs the same
 checks and serializes to byte-identical canonical JSON (wall-clock timing
 is reported in the text rendering only and never serialized).
@@ -16,16 +24,18 @@ is reported in the text rendering only and never serialized).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional, Sequence
+from typing import Callable, Iterator, Literal, Optional, Sequence
 
 from .closure import (
     RULE_SETS,
     ClosureUniverse,
+    Disagreement,
     Rule,
     build_universe,
     close,
@@ -74,19 +84,12 @@ ScaleName = Literal["quick", "full"]
 
 
 @dataclass(frozen=True)
-class CaseOutcome:
-    passed: bool
-    summary: str
-    cases_run: int
-    counterexamples: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class PropertyCase:
     case_id: str
     description: str
     expectation: Literal["holds", "fails-with-witness"]
-    runner: Callable[["_Ctx"], CaseOutcome]
+    runner: Callable[["_Ctx"], str]
+    counterexample_cap: int = 3
 
 
 @dataclass(frozen=True)
@@ -162,35 +165,90 @@ class PropertyReport:
 
 
 class _Ctx:
+    """One case's run: its random generator and scale, tally and samplers."""
+
     def __init__(self, rng: random.Random, scale: ScaleName):
         self.rng = rng
         self.scale = scale
+        self.checks = 0
+        self.failures: list[str] = []
 
     def count(self, quick: int, full: int) -> int:
         return quick if self.scale == "quick" else full
 
-    def pick_universe(self) -> ClosureUniverse:
-        return _cu(1) if self.rng.random() < 0.4 else _cu(2)
+    def check(self, ok: bool, failure: Callable[[], str], weight: int = 1) -> bool:
+        """Count ``weight`` checks; unless ``ok``, record ``failure()``.
+
+        The message is built only when the check fails, so hot loops never
+        format messages for checks that pass.
+        """
+        self.checks += weight
+        if not ok:
+            self.failures.append(failure())
+        return ok
+
+    def fail(self, message: str) -> None:
+        """Record a failure without counting a check."""
+        self.failures.append(message)
+
+    def sampled_sets(
+        self, quick: int, full: int
+    ) -> Iterator[tuple[ClosureUniverse, InformationSet]]:
+        """``count(quick, full)`` random sets, each over one or two atoms.
+
+        Each draw picks the universe, then the set; whatever the caller
+        draws before asking for the next pair comes in between.
+        """
+        for _ in range(self.count(quick, full)):
+            cu = _cu(1) if self.rng.random() < 0.4 else _cu(2)
+            yield cu, generate_information_set(cu, 4, self.rng)
+
+    def one_then_two_atom_sets(
+        self, quick: int, full: int
+    ) -> Iterator[tuple[ClosureUniverse, InformationSet]]:
+        """All 256 1-atom sets, then ``count(quick, full)`` random 2-atom sets."""
+        cu1, cu2 = _cu(1), _cu(2)
+        for gamma in _all_n1_sets():
+            yield cu1, gamma
+        for _ in range(self.count(quick, full)):
+            yield cu2, generate_information_set(cu2, 4, self.rng)
 
 
 _CASES: dict[str, PropertyCase] = {}
 
 
-def _case(case_id: str, description: str, expectation: str = "holds"):
-    def deco(fn: Callable[[_Ctx], CaseOutcome]):
-        _CASES[case_id] = PropertyCase(case_id, description, expectation, fn)  # type: ignore[arg-type]
+def _case(
+    case_id: str,
+    description: str,
+    expectation: Literal["holds", "fails-with-witness"] = "holds",
+    counterexample_cap: int = 3,
+    logics: Sequence[LogicId] = (),
+    **params,
+):
+    """Register a runner, called with ``params`` besides the context.
+
+    Given ``logics``, register one case per logic, with ``{logic}`` filled
+    into the id and the description and ``logic`` passed on too.
+    """
+
+    def deco(fn: Callable[..., str]):
+        for logic in logics or [None]:
+            cid, text, kw = case_id, description, params
+            if logic is not None:
+                cid, text = case_id.format(logic=logic), description.format(logic=logic)
+                kw = {**params, "logic": logic}
+            runner = functools.partial(fn, **kw)
+            _CASES[cid] = PropertyCase(
+                cid, text, expectation, runner, counterexample_cap
+            )
         return fn
 
     return deco
 
 
-_UNIVERSES: dict[int, ClosureUniverse] = {}
-
-
+@functools.cache
 def _cu(n: int) -> ClosureUniverse:
-    if n not in _UNIVERSES:
-        _UNIVERSES[n] = build_universe(n)
-    return _UNIVERSES[n]
+    return build_universe(n)
 
 
 def generate_information_set(
@@ -201,19 +259,14 @@ def generate_information_set(
     return InformationSet(frozenset(rng.sample(cu.sentences, k)))
 
 
-_N1_SETS: tuple[InformationSet, ...] | None = None
-
-
+@functools.cache
 def _all_n1_sets() -> tuple[InformationSet, ...]:
     """All 256 information sets over the 1-atom universe's 8 sentences."""
-    global _N1_SETS
-    if _N1_SETS is None:
-        sent = _cu(1).sentences
-        _N1_SETS = tuple(
-            InformationSet(frozenset(s for i, s in enumerate(sent) if k >> i & 1))
-            for k in range(1 << len(sent))
-        )
-    return _N1_SETS
+    sent = _cu(1).sentences
+    return tuple(
+        InformationSet(frozenset(s for i, s in enumerate(sent) if k >> i & 1))
+        for k in range(1 << len(sent))
+    )
 
 
 def _fmt(gamma: InformationSet) -> str:
@@ -238,11 +291,12 @@ def _shrink(
 
 
 def _slice_classes(
-    sentences: Iterable[Sentence], u: AtomUniverse
+    logic: LogicId, gamma: InformationSet, u: AtomUniverse
 ) -> tuple[set[int], set[int]]:
+    """The classes of Γ's believed and of its disbelieved consequences."""
     bel: set[int] = set()
     dis: set[int] = set()
-    for s in sentences:
+    for s in consequences(logic, gamma, u):
         (bel if isinstance(s, Belief) else dis).add(models_of(s.body, u))
     return bel, dis
 
@@ -252,148 +306,115 @@ def _project(gamma: InformationSet, keep_beliefs: bool) -> InformationSet:
     return InformationSet(frozenset(kept))
 
 
+def _slice_is_stable(
+    logic: LogicId,
+    kind: type,
+    gamma: InformationSet,
+    extra: InformationSet,
+    u: AtomUniverse,
+) -> bool:
+    """Γ, Γ ∪ extra and Γ's projection onto ``kind`` entail the same
+    sentences of that kind."""
+
+    def kind_slice(g: InformationSet) -> frozenset[Sentence]:
+        return frozenset(s for s in consequences(logic, g, u) if isinstance(s, kind))
+
+    return (
+        kind_slice(gamma)
+        == kind_slice(gamma.union(extra))
+        == kind_slice(_project(gamma, kind is Belief))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Decision procedures against the enumeration oracle
 
 
-def _oracle_agreement(logic: LogicId):
-    def run(ctx: _Ctx) -> CaseOutcome:
-        ce: list[str] = []
-        checks = 0
-        cu1, cu2 = _cu(1), _cu(2)
-
-        def disagrees(gamma: InformationSet, u: AtomUniverse) -> bool:
-            return consequences(logic, gamma, u) != brute_force_consequences(
-                logic, gamma, u
-            )
-
-        for gamma in _all_n1_sets():
-            checks += len(cu1.sentences)
-            if disagrees(gamma, cu1.universe):
-                small = _shrink(gamma, lambda g: disagrees(g, cu1.universe))
-                ce.append(f"Γ={_fmt(small)} at 1 atom")
-        n2 = ctx.count(120, 500)
-        for _ in range(n2):
-            gamma = generate_information_set(cu2, 4, ctx.rng)
-            checks += len(cu2.sentences)
-            if disagrees(gamma, cu2.universe):
-                small = _shrink(gamma, lambda g: disagrees(g, cu2.universe))
-                ce.append(f"Γ={_fmt(small)} at 2 atoms")
-        summary = (
-            f"decision == enumeration oracle on 256 exhaustive 1-atom sets "
-            f"and {n2} sampled 2-atom sets ({checks} sentence verdicts)"
+@_case(
+    "oracle-agreement-{logic}",
+    "the {logic} decision procedure agrees with exhaustive model "
+    "enumeration on every queried sentence",
+    logics=("wbd", "gbd", "bd"),
+)
+def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
+    def disagrees(gamma: InformationSet, u: AtomUniverse) -> bool:
+        return consequences(logic, gamma, u) != brute_force_consequences(
+            logic, gamma, u
         )
-        return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
-    return run
-
-
-for _logic in ("wbd", "gbd", "bd"):
-    _case(
-        f"oracle-agreement-{_logic}",
-        f"the {_logic} decision procedure agrees with exhaustive model "
-        "enumeration on every queried sentence",
-    )(_oracle_agreement(_logic))  # type: ignore[arg-type]
+    for cu, gamma in ctx.one_then_two_atom_sets(120, 500):
+        u = cu.universe
+        ctx.check(
+            not disagrees(gamma, u),
+            lambda: f"Γ={_fmt(_shrink(gamma, lambda g: disagrees(g, u)))} "
+            + ("at 1 atom", "at 2 atoms")[u.n - 1],
+            weight=len(cu.sentences),
+        )
+    return (
+        f"decision == enumeration oracle on 256 exhaustive 1-atom sets "
+        f"and {ctx.count(120, 500)} sampled 2-atom sets "
+        f"({ctx.checks} sentence verdicts)"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Tarskian consequence behaviour
 
 
-def _tarskian(logic: LogicId):
-    def run(ctx: _Ctx) -> CaseOutcome:
-        ce: list[str] = []
-        checks = 0
-        for _ in range(ctx.count(60, 250)):
-            cu = ctx.pick_universe()
-            u = cu.universe
-            gamma = generate_information_set(cu, 4, ctx.rng)
-            cons = consequences(logic, gamma, u)
-
-            checks += 1
-            if not all(decide(logic, gamma, s, u).entailed for s in gamma):
-                ce.append(f"inclusion fails: Γ={_fmt(gamma)}")
-
-            delta = generate_information_set(cu, 2, ctx.rng)
-            checks += 1
-            if not cons <= consequences(logic, gamma.union(delta), u):
-                ce.append(f"monotonicity fails: Γ={_fmt(gamma)}, Δ={_fmt(delta)}")
-
-            checks += 1
-            if consequences(logic, InformationSet(frozenset(cons)), u) != cons:
-                ce.append(f"idempotency fails: Γ={_fmt(gamma)}")
-        summary = (
-            f"inclusion, monotonicity, and idempotency of the consequence "
-            f"slice hold ({checks} checks)"
+@_case(
+    "tarskian-{logic}",
+    "the {logic} consequence operation is Tarskian on finite slices",
+    logics=LOGICS,
+)
+def _tarskian(ctx: _Ctx, logic: LogicId) -> str:
+    for cu, gamma in ctx.sampled_sets(60, 250):
+        u = cu.universe
+        cons = consequences(logic, gamma, u)
+        ctx.check(
+            all(decide(logic, gamma, s, u).entailed for s in gamma),
+            lambda: f"inclusion fails: Γ={_fmt(gamma)}",
         )
-        return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
-
-    return run
-
-
-for _logic in LOGICS:
-    _case(
-        f"tarskian-{_logic}",
-        f"the {_logic} consequence operation is Tarskian on finite slices",
-    )(_tarskian(_logic))  # type: ignore[arg-type]
+        delta = generate_information_set(cu, 2, ctx.rng)
+        ctx.check(
+            cons <= consequences(logic, gamma.union(delta), u),
+            lambda: f"monotonicity fails: Γ={_fmt(gamma)}, Δ={_fmt(delta)}",
+        )
+        ctx.check(
+            consequences(logic, InformationSet(frozenset(cons)), u) == cons,
+            lambda: f"idempotency fails: Γ={_fmt(gamma)}",
+        )
+    return (
+        f"inclusion, monotonicity, and idempotency of the consequence "
+        f"slice hold ({ctx.checks} checks)"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Decoupling of the two attitudes (wbd and gbd only)
 
 
-def _decoupling(logic: LogicId):
-    def run(ctx: _Ctx) -> CaseOutcome:
-        ce: list[str] = []
-        checks = 0
-        for _ in range(ctx.count(60, 250)):
-            cu = ctx.pick_universe()
-            u = cu.universe
-            gamma = generate_information_set(cu, 4, ctx.rng)
-            cons = consequences(logic, gamma, u)
-            bel_slice = frozenset(s for s in cons if isinstance(s, Belief))
-            dis_slice = cons - bel_slice
-
-            extra_b = InformationSet(
-                frozenset(generate_information_set(cu, 2, ctx.rng).beliefs)
-            )
-            extra_d = InformationSet(
-                frozenset(generate_information_set(cu, 2, ctx.rng).disbeliefs)
-            )
-
-            checks += 1
-            with_b = consequences(logic, gamma.union(extra_b), u)
-            of_proj_d = consequences(logic, _project(gamma, False), u)
-            if not (
-                dis_slice
-                == frozenset(s for s in with_b if isinstance(s, Disbelief))
-                == frozenset(s for s in of_proj_d if isinstance(s, Disbelief))
-            ):
-                ce.append(f"beliefs leak into disbeliefs: Γ={_fmt(gamma)}")
-
-            checks += 1
-            with_d = consequences(logic, gamma.union(extra_d), u)
-            of_proj_b = consequences(logic, _project(gamma, True), u)
-            if not (
-                bel_slice
-                == frozenset(s for s in with_d if isinstance(s, Belief))
-                == frozenset(s for s in of_proj_b if isinstance(s, Belief))
-            ):
-                ce.append(f"disbeliefs leak into beliefs: Γ={_fmt(gamma)}")
-        summary = (
-            f"belief verdicts depend only on beliefs and disbelief verdicts "
-            f"only on disbeliefs ({checks} checks)"
+@_case(
+    "decoupling-{logic}",
+    "in {logic} the two attitudes never inform each other",
+    logics=("wbd", "gbd"),
+)
+def _decoupling(ctx: _Ctx, logic: LogicId) -> str:
+    for cu, gamma in ctx.sampled_sets(60, 250):
+        u = cu.universe
+        extra_b = _project(generate_information_set(cu, 2, ctx.rng), True)
+        extra_d = _project(generate_information_set(cu, 2, ctx.rng), False)
+        ctx.check(
+            _slice_is_stable(logic, Disbelief, gamma, extra_b, u),
+            lambda: f"beliefs leak into disbeliefs: Γ={_fmt(gamma)}",
         )
-        return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
-
-    return run
-
-
-for _logic in ("wbd", "gbd"):
-    _case(
-        f"decoupling-{_logic}",
-        f"in {_logic} the two attitudes never inform each other",
-    )(_decoupling(_logic))  # type: ignore[arg-type]
+        ctx.check(
+            _slice_is_stable(logic, Belief, gamma, extra_d, u),
+            lambda: f"disbeliefs leak into beliefs: Γ={_fmt(gamma)}",
+        )
+    return (
+        f"belief verdicts depend only on beliefs and disbelief verdicts "
+        f"only on disbeliefs ({ctx.checks} checks)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -405,71 +426,45 @@ for _logic in ("wbd", "gbd"):
     "in bd a believed negation forces the disbelief, and beliefs do "
     "influence disbelief verdicts",
 )
-def _belief_to_disbelief(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    for _ in range(ctx.count(80, 300)):
-        cu = ctx.pick_universe()
+def _belief_to_disbelief(ctx: _Ctx) -> str:
+    for cu, gamma in ctx.sampled_sets(80, 300):
         u = cu.universe
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        bel, dis = _slice_classes(consequences("bd", gamma, u), u)
+        bel, dis = _slice_classes("bd", gamma, u)
         full = u.full_mask
         for c in range(full + 1):
-            checks += 1
-            if (full & ~c) in bel and c not in dis:
-                ce.append(f"B: !f without D: f: Γ={_fmt(gamma)}, class {c:#x}")
+            ctx.check(
+                (full & ~c) not in bel or c in dis,
+                lambda: f"B: !f without D: f: Γ={_fmt(gamma)}, class {c:#x}",
+            )
 
     # the influence direction is real: dropping the beliefs loses disbeliefs
     witness = parse_information_set("B: !p")
     u1 = _cu(1).universe
-    _, dis_full = _slice_classes(consequences("bd", witness, u1), u1)
-    _, dis_proj = _slice_classes(
-        consequences("bd", _project(witness, False), u1), u1
+    _, dis_full = _slice_classes("bd", witness, u1)
+    _, dis_proj = _slice_classes("bd", _project(witness, False), u1)
+    ctx.check(
+        dis_proj < dis_full,
+        lambda: "expected Γ={B: !p} to disbelieve more than its projection",
     )
-    checks += 1
-    influenced = dis_proj < dis_full
-    if not influenced:
-        ce.append("expected Γ={B: !p} to disbelieve more than its projection")
-    summary = (
-        f"believed negations force disbeliefs ({checks} checks); beliefs "
+    return (
+        f"believed negations force disbeliefs ({ctx.checks} checks); beliefs "
         "genuinely inform disbeliefs (witness Γ={B: !p} disbelieves p, its "
         "disbelief projection does not)"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 @_case(
     "disbelief-not-to-belief-bd",
     "in bd belief verdicts never depend on the disbeliefs",
 )
-def _disbelief_not_to_belief(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    for _ in range(ctx.count(80, 300)):
-        cu = ctx.pick_universe()
-        u = cu.universe
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        extra_d = InformationSet(
-            frozenset(generate_information_set(cu, 2, ctx.rng).disbeliefs)
+def _disbelief_not_to_belief(ctx: _Ctx) -> str:
+    for cu, gamma in ctx.sampled_sets(80, 300):
+        extra_d = _project(generate_information_set(cu, 2, ctx.rng), False)
+        ctx.check(
+            _slice_is_stable("bd", Belief, gamma, extra_d, cu.universe),
+            lambda: f"Γ={_fmt(gamma)}, Δ={_fmt(extra_d)}",
         )
-        base = frozenset(
-            s for s in consequences("bd", gamma, u) if isinstance(s, Belief)
-        )
-        checks += 1
-        grown = frozenset(
-            s
-            for s in consequences("bd", gamma.union(extra_d), u)
-            if isinstance(s, Belief)
-        )
-        proj = frozenset(
-            s
-            for s in consequences("bd", _project(gamma, True), u)
-            if isinstance(s, Belief)
-        )
-        if not (base == grown == proj):
-            ce.append(f"Γ={_fmt(gamma)}, Δ={_fmt(extra_d)}")
-    summary = f"belief slice is stable under disbelief changes ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+    return f"belief slice is stable under disbelief changes ({ctx.checks} checks)"
 
 
 # ---------------------------------------------------------------------------
@@ -481,40 +476,29 @@ def _disbelief_not_to_belief(ctx: _Ctx) -> CaseOutcome:
     "in bd, combined inconsistency and d-inconsistency coincide, and "
     "b-inconsistency implies both — but not conversely",
 )
-def _inconsistency_collapse(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    converse_witnesses: list[InformationSet] = []
-
-    def check(gamma: InformationSet) -> None:
-        nonlocal checks
+def _inconsistency_collapse(ctx: _Ctx) -> str:
+    converse_witnesses = 0
+    for _, gamma in ctx.one_then_two_atom_sets(80, 300):
         rep = inconsistency_report("bd", gamma)
-        checks += 1
+        ctx.checks += 1
         if rep.combined_inconsistent != rep.d_inconsistent:
-            ce.append(f"combined != d-inconsistent: Γ={_fmt(gamma)}")
+            ctx.fail(f"combined != d-inconsistent: Γ={_fmt(gamma)}")
         if rep.b_inconsistent and not rep.combined_inconsistent:
-            ce.append(f"b-inconsistent but combined-consistent: Γ={_fmt(gamma)}")
-        if rep.combined_inconsistent and not rep.b_inconsistent:
-            converse_witnesses.append(gamma)
+            ctx.fail(f"b-inconsistent but combined-consistent: Γ={_fmt(gamma)}")
+        converse_witnesses += rep.combined_inconsistent and not rep.b_inconsistent
 
-    for gamma in _all_n1_sets():
-        check(gamma)
-    for _ in range(ctx.count(80, 300)):
-        check(generate_information_set(_cu(2), 4, ctx.rng))
-
-    canonical = parse_information_set("B: p\nD: p")
-    rep = inconsistency_report("bd", canonical)
-    checks += 1
-    if not (rep.combined_inconsistent and not rep.b_inconsistent):
-        ce.append("Γ={B: p; D: p} should be combined- but not b-inconsistent")
+    rep = inconsistency_report("bd", parse_information_set("B: p\nD: p"))
+    ctx.check(
+        rep.combined_inconsistent and not rep.b_inconsistent,
+        lambda: "Γ={B: p; D: p} should be combined- but not b-inconsistent",
+    )
     if not converse_witnesses:
-        ce.append("no combined-inconsistent set with consistent beliefs found")
-    summary = (
-        f"collapse holds on {checks} sets; the converse fails as expected "
-        f"({len(converse_witnesses)} sets are combined-inconsistent with "
+        ctx.fail("no combined-inconsistent set with consistent beliefs found")
+    return (
+        f"collapse holds on {ctx.checks} sets; the converse fails as expected "
+        f"({converse_witnesses} sets are combined-inconsistent with "
         "consistent beliefs, e.g. Γ={B: p; D: p})"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,60 +511,51 @@ def _inconsistency_collapse(ctx: _Ctx) -> CaseOutcome:
     "unsound for bd in general but holds on combined-consistent sets",
     expectation="fails-with-witness",
 )
-def _bprime_counterexample(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
+def _bprime_counterexample(ctx: _Ctx) -> str:
     cu2 = _cu(2)
     u = cu2.universe
     full = u.full_mask
-    checks = 0
     violations: list[tuple[InformationSet, int, int]] = []
     consistent_violations = 0
     consistent_sets = 0
 
-    small_sets: list[InformationSet] = [InformationSet(frozenset())]
-    small_sets += [InformationSet(frozenset([s])) for s in cu2.sentences]
-    small_sets += [
-        InformationSet(frozenset(pair))
-        for pair in itertools.combinations(cu2.sentences, 2)
+    # the empty set, then every singleton, then every pair
+    small_sets = [
+        InformationSet(frozenset(combo))
+        for k in range(3)
+        for combo in itertools.combinations(cu2.sentences, k)
     ]
-
     for gamma in small_sets:
-        bel, _ = _slice_classes(consequences("bd", gamma, u), u)
+        bel, _ = _slice_classes("bd", gamma, u)
         consistent = not inconsistency_report("bd", gamma).combined_inconsistent
         consistent_sets += consistent
+        # one check per premise triple (f, g) with g believed
+        ctx.checks += (full + 1) * len(bel)
         for phi in range(full + 1):
             if phi in bel:  # conclusion already holds, nothing to violate
-                checks += len(bel)
                 continue
             grown = gamma.union([cu2.sentence(False, phi)])
             for psi in bel:
-                checks += 1
                 if decide("bd", grown, cu2.sentence(False, psi), u).entailed:
                     violations.append((gamma, phi, psi))
                     consistent_violations += consistent
 
-    canonical = parse_information_set("B: q\nD: q")
-    phi_p = models_of(parse_sentence("B: p").body, u)
-    psi_q = models_of(parse_sentence("B: q").body, u)
-    found_canonical = any(
-        g == canonical and phi == phi_p and psi == psi_q
-        for g, phi, psi in violations
-    )
+    p, q = u.atom_mask("p"), u.atom_mask("q")
+    canonical = (parse_information_set("B: q\nD: q"), p, q)
     if not violations:
-        ce.append("expected the rule to fail somewhere on the 2-atom slice")
-    if not found_canonical:
-        ce.append("canonical witness Γ={B: q; D: q}, f=p, g=q not rediscovered")
+        ctx.fail("expected the rule to fail somewhere on the 2-atom slice")
+    if canonical not in violations:
+        ctx.fail("canonical witness Γ={B: q; D: q}, f=p, g=q not rediscovered")
     if consistent_violations:
-        ce.append(
+        ctx.fail(
             f"{consistent_violations} violations on combined-consistent sets "
             "(restated rule should hold there)"
         )
-    summary = (
+    return (
         f"fails-as-stated; witness Γ={{B: q; D: q}}, f=p, g=q "
-        f"({len(violations)} violations among {checks} premise triples, "
+        f"({len(violations)} violations among {ctx.checks} premise triples, "
         f"none on the {consistent_sets} combined-consistent sets)"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +566,17 @@ def _bprime_counterexample(ctx: _Ctx) -> CaseOutcome:
     "collapse-bn",
     "in bn, disbelieving f is exactly believing !f",
 )
-def _collapse_bn(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-
-    def check(gamma: InformationSet, u: AtomUniverse) -> None:
-        nonlocal checks
-        bel, dis = _slice_classes(consequences("bn", gamma, u), u)
+def _collapse_bn(ctx: _Ctx) -> str:
+    for cu, gamma in ctx.one_then_two_atom_sets(80, 300):
+        u = cu.universe
+        bel, dis = _slice_classes("bn", gamma, u)
         full = u.full_mask
         for c in range(full + 1):
-            checks += 1
-            if (c in dis) != ((full & ~c) in bel):
-                ce.append(f"Γ={_fmt(gamma)}, class {c:#x}")
-
-    for gamma in _all_n1_sets():
-        check(gamma, _cu(1).universe)
-    for _ in range(ctx.count(80, 300)):
-        check(generate_information_set(_cu(2), 4, ctx.rng), _cu(2).universe)
-    summary = f"D: f <-> B: !f across the consequence slice ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+            ctx.check(
+                (c in dis) == ((full & ~c) in bel),
+                lambda: f"Γ={_fmt(gamma)}, class {c:#x}",
+            )
+    return f"D: f <-> B: !f across the consequence slice ({ctx.checks} checks)"
 
 
 # ---------------------------------------------------------------------------
@@ -622,44 +589,39 @@ def _collapse_bn(ctx: _Ctx) -> CaseOutcome:
     "in wbd and bd",
     expectation="fails-with-witness",
 )
-def _dvee_polarity(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    cu2 = _cu(2)
-    u2 = cu2.universe
-
+def _dvee_polarity(ctx: _Ctx) -> str:
     # gbd: holds on samples
-    for _ in range(ctx.count(60, 200)):
-        cu = ctx.pick_universe()
+    for cu, gamma in ctx.sampled_sets(60, 200):
         u = cu.universe
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        _, dis = _slice_classes(consequences("gbd", gamma, u), u)
+        _, dis = _slice_classes("gbd", gamma, u)
         for f, g in itertools.product(sorted(dis), repeat=2):
-            checks += 1
-            if (f | g) not in dis:
-                ce.append(f"gbd: Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}")
+            ctx.check(
+                (f | g) in dis,
+                lambda: f"gbd: Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}",
+            )
 
     # wbd and bd: the canonical two-disbelief witness breaks it
+    u2 = _cu(2).universe
     witness = parse_information_set("D: p\nD: q")
     query = parse_sentence("D: p | q")
     for logic in ("wbd", "bd"):
-        checks += 3
-        if not (
+        ctx.check(
             decide(logic, witness, parse_sentence("D: p"), u2).entailed
             and decide(logic, witness, parse_sentence("D: q"), u2).entailed
-            and not decide(logic, witness, query, u2).entailed
-        ):
-            ce.append(f"{logic}: Γ={{D: p; D: q}} should break the rule")
-        # and gbd accepts exactly this inference
-    checks += 1
-    if not decide("gbd", witness, query, u2).entailed:
-        ce.append("gbd: Γ={D: p; D: q} should entail D: p | q")
-    summary = (
+            and not decide(logic, witness, query, u2).entailed,
+            lambda: f"{logic}: Γ={{D: p; D: q}} should break the rule",
+            weight=3,
+        )
+    # and gbd accepts exactly this inference
+    ctx.check(
+        decide("gbd", witness, query, u2).entailed,
+        lambda: "gbd: Γ={D: p; D: q} should entail D: p | q",
+    )
+    return (
         f"fails-as-stated for wbd and bd; witness Γ={{D: p; D: q}} with "
         f"f=p, g=q (D: p | q not entailed); holds throughout gbd "
-        f"({checks} checks)"
+        f"({ctx.checks} checks)"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -671,23 +633,19 @@ def _dvee_polarity(ctx: _Ctx) -> CaseOutcome:
     "in gbd, disbelieving g and disbelieving !(f -> g) forces "
     "disbelieving f",
 )
-def _rej_gbd(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    for _ in range(ctx.count(60, 250)):
-        cu = ctx.pick_universe()
+def _rej_gbd(ctx: _Ctx) -> str:
+    for cu, gamma in ctx.sampled_sets(60, 250):
         u = cu.universe
         full = u.full_mask
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        _, dis = _slice_classes(consequences("gbd", gamma, u), u)
+        _, dis = _slice_classes("gbd", gamma, u)
         for f in range(full + 1):
             for g in sorted(dis):
                 neg_imp = f & (full & ~g)  # class of !(f -> g)
-                checks += 1
-                if neg_imp in dis and f not in dis:
-                    ce.append(f"Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}")
-    summary = f"rejection detachment holds across gbd slices ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+                ctx.check(
+                    neg_imp not in dis or f in dis,
+                    lambda: f"Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}",
+                )
+    return f"rejection detachment holds across gbd slices ({ctx.checks} checks)"
 
 
 # ---------------------------------------------------------------------------
@@ -699,14 +657,13 @@ def _rej_gbd(ctx: _Ctx) -> CaseOutcome:
     "suspending judgment (D: p with D: !p) is coherent except under the "
     "pooled gbd reading",
 )
-def _agnosticism(ctx: _Ctx) -> CaseOutcome:
-    results = evaluate(agnostic())
-    ce = [r.render() for r in results if not r.ok]
-    summary = (
+def _agnosticism(ctx: _Ctx) -> str:
+    for r in evaluate(agnostic()):
+        ctx.check(r.ok, r.render)
+    return (
         "gbd pools the two sources into d-inconsistency (D: true follows); "
-        f"wbd and bd stay consistent ({len(results)} checks)"
+        f"wbd and bd stay consistent ({ctx.checks} checks)"
     )
-    return CaseOutcome(not ce, summary, len(results), tuple(ce[:3]))
 
 
 @_case(
@@ -714,28 +671,18 @@ def _agnosticism(ctx: _Ctx) -> CaseOutcome:
     "in bd, adding D: true makes every disbelief derivable but leaves "
     "beliefs untouched",
 )
-def _top_disbelief(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
+def _top_disbelief(ctx: _Ctx) -> str:
     top_d = parse_sentence("D: true")
-    for _ in range(ctx.count(60, 250)):
-        cu = ctx.pick_universe()
+    for cu, gamma in ctx.sampled_sets(60, 250):
         u = cu.universe
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        grown = gamma.union([top_d])
-        cons_grown = consequences("bd", grown, u)
-        bel_grown, dis_grown = _slice_classes(cons_grown, u)
-        checks += 1
-        if len(dis_grown) != u.full_mask + 1:
-            ce.append(f"not all disbeliefs derivable: Γ={_fmt(gamma)}")
-        bel_base, _ = _slice_classes(consequences("bd", gamma, u), u)
-        checks += 1
-        if bel_base != bel_grown:
-            ce.append(f"beliefs changed: Γ={_fmt(gamma)}")
-    summary = (
-        f"D: true saturates disbelief and preserves belief ({checks} checks)"
-    )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+        bel_grown, dis_grown = _slice_classes("bd", gamma.union([top_d]), u)
+        ctx.check(
+            len(dis_grown) == u.full_mask + 1,
+            lambda: f"not all disbeliefs derivable: Γ={_fmt(gamma)}",
+        )
+        bel_base, _ = _slice_classes("bd", gamma, u)
+        ctx.check(bel_base == bel_grown, lambda: f"beliefs changed: Γ={_fmt(gamma)}")
+    return f"D: true saturates disbelief and preserves belief ({ctx.checks} checks)"
 
 
 @_case(
@@ -743,16 +690,11 @@ def _top_disbelief(ctx: _Ctx) -> CaseOutcome:
     "the n-ticket lottery stays fully consistent in wbd and bd while gbd "
     "collapses, for n = 2, 3, 4",
 )
-def _lottery_consistency(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
+def _lottery_consistency(ctx: _Ctx) -> str:
     for n in (2, 3, 4):
         for r in evaluate(lottery(n)):
-            checks += 1
-            if not r.ok:
-                ce.append(f"{n} tickets: {r.render()}")
-    summary = f"lottery verdicts as expected for 2..4 tickets ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+            ctx.check(r.ok, lambda: f"{n} tickets: {r.render()}")
+    return f"lottery verdicts as expected for 2..4 tickets ({ctx.checks} checks)"
 
 
 # ---------------------------------------------------------------------------
@@ -764,46 +706,33 @@ def _lottery_consistency(ctx: _Ctx) -> CaseOutcome:
     "wbd consequences are contained in both gbd and bd consequences, "
     "which are mutually incomparable",
 )
-def _strength_ordering(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-
-    def check(gamma: InformationSet, u: AtomUniverse) -> None:
-        nonlocal checks
+def _strength_ordering(ctx: _Ctx) -> str:
+    for cu, gamma in ctx.one_then_two_atom_sets(60, 200):
+        u = cu.universe
         weak = consequences("wbd", gamma, u)
-        checks += 2
-        if not weak <= consequences("gbd", gamma, u):
-            ce.append(f"wbd ⊄ gbd: Γ={_fmt(gamma)}")
-        if not weak <= consequences("bd", gamma, u):
-            ce.append(f"wbd ⊄ bd: Γ={_fmt(gamma)}")
-
-    for gamma in _all_n1_sets():
-        check(gamma, _cu(1).universe)
-    for _ in range(ctx.count(60, 200)):
-        check(generate_information_set(_cu(2), 4, ctx.rng), _cu(2).universe)
+        for logic in ("gbd", "bd"):
+            ctx.check(
+                weak <= consequences(logic, gamma, u),
+                lambda: f"wbd ⊄ {logic}: Γ={_fmt(gamma)}",
+            )
 
     u2 = _cu(2).universe
-    gbd_only_gamma = parse_information_set("D: p\nD: q")
-    gbd_only_query = parse_sentence("D: p | q")
-    checks += 2
-    if not (
-        decide("gbd", gbd_only_gamma, gbd_only_query, u2).entailed
-        and not decide("bd", gbd_only_gamma, gbd_only_query, u2).entailed
+    for only, other, gamma_text, query_text in (
+        ("gbd", "bd", "D: p\nD: q", "D: p | q"),
+        ("bd", "gbd", "B: !p", "D: p"),
     ):
-        ce.append("expected {D: p; D: q} ⊦ D: p | q in gbd only")
-    bd_only_gamma = parse_information_set("B: !p")
-    bd_only_query = parse_sentence("D: p")
-    checks += 2
-    if not (
-        decide("bd", bd_only_gamma, bd_only_query, u2).entailed
-        and not decide("gbd", bd_only_gamma, bd_only_query, u2).entailed
-    ):
-        ce.append("expected {B: !p} ⊦ D: p in bd only")
-    summary = (
-        f"wbd is weakest everywhere ({checks} checks); incomparability "
+        gamma = parse_information_set(gamma_text)
+        query = parse_sentence(query_text)
+        ctx.check(
+            decide(only, gamma, query, u2).entailed
+            and not decide(other, gamma, query, u2).entailed,
+            lambda: f"expected {_fmt(gamma)} ⊦ {query_text} in {only} only",
+            weight=2,
+        )
+    return (
+        f"wbd is weakest everywhere ({ctx.checks} checks); incomparability "
         "witnessed by {D: p; D: q} ⊦gbd D: p | q and {B: !p} ⊦bd D: p"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -821,57 +750,51 @@ _VALIDATED_CLOSURES: dict[LogicId, list[tuple[frozenset[Rule], str]]] = {
 }
 
 
-def _closure_decision(logic: LogicId):
-    def run(ctx: _Ctx) -> CaseOutcome:
-        ce: list[str] = []
-        checks = 0
-        cu1, cu2 = _cu(1), _cu(2)
-        sides = _VALIDATED_CLOSURES[logic]
-
+@_case(
+    "closure-decision-{logic}",
+    "the validated {logic} rule set closes every set to exactly its "
+    "decision-procedure consequences",
+    logics=LOGICS,
+    counterexample_cap=4,
+)
+def _closure_decision(ctx: _Ctx, logic: LogicId) -> str:
+    cu1, cu2 = _cu(1), _cu(2)
+    sides = _VALIDATED_CLOSURES[logic]
+    samples = [
+        generate_information_set(cu2, 4, ctx.rng)
+        for _ in range(ctx.count(100, 250))
+    ]
+    for label, cu, sets in (
+        ("1 atom", cu1, _all_n1_sets()),
+        ("2 atoms", cu2, samples),
+    ):
         for rules, reading in sides:
-            records = readings_agree((rules, reading), logic, _all_n1_sets(), cu1)
-            checks += 256 * len(cu1.sentences)
-            ce.extend(f"1 atom, {reading}: {r.render()}" for r in records[:2])
-        samples = [
-            generate_information_set(cu2, 4, ctx.rng)
-            for _ in range(ctx.count(100, 250))
-        ]
-        for rules, reading in sides:
-            records = readings_agree((rules, reading), logic, samples, cu2)
-            checks += len(samples) * len(cu2.sentences)
-            ce.extend(f"2 atoms, {reading}: {r.render()}" for r in records[:2])
+            records = readings_agree((rules, reading), logic, sets, cu)
+            ctx.checks += len(sets) * len(cu.sentences)
+            for r in records[:2]:
+                ctx.fail(f"{label}, {reading}: {r.render()}")
 
-        exhaustive_note = ""
-        if ctx.scale == "full":
-            # exhaustive |Γ| <= 4 over the 2-atom universe, primary rule set
-            rules, reading = sides[0]
-            count = 0
-            for k in range(5):
-                for combo in itertools.combinations(cu2.sentences, k):
-                    gamma = InformationSet(frozenset(combo))
-                    count += 1
-                    checks += len(cu2.sentences)
-                    if close(rules, reading, gamma, cu2) != consequences(
-                        logic, gamma, cu2.universe
-                    ):
-                        ce.append(f"exhaustive: Γ={_fmt(gamma)}")
-            exhaustive_note = f" plus all {count} sets of size <= 4"
-        summary = (
-            f"rule closure reproduces the decision procedure on 256 "
-            f"exhaustive 1-atom sets and {len(samples)} sampled 2-atom "
-            f"sets{exhaustive_note} ({checks} sentence checks)"
-        )
-        return CaseOutcome(not ce, summary, checks, tuple(ce[:4]))
-
-    return run
-
-
-for _logic in LOGICS:
-    _case(
-        f"closure-decision-{_logic}",
-        f"the validated {_logic} rule set closes every set to exactly its "
-        "decision-procedure consequences",
-    )(_closure_decision(_logic))  # type: ignore[arg-type]
+    exhaustive_note = ""
+    if ctx.scale == "full":
+        # exhaustive |Γ| <= 4 over the 2-atom universe, primary rule set
+        rules, reading = sides[0]
+        count = 0
+        for k in range(5):
+            for combo in itertools.combinations(cu2.sentences, k):
+                gamma = InformationSet(frozenset(combo))
+                count += 1
+                ctx.check(
+                    close(rules, reading, gamma, cu2)
+                    == consequences(logic, gamma, cu2.universe),
+                    lambda: f"exhaustive: Γ={_fmt(gamma)}",
+                    weight=len(cu2.sentences),
+                )
+        exhaustive_note = f" plus all {count} sets of size <= 4"
+    return (
+        f"rule closure reproduces the decision procedure on 256 "
+        f"exhaustive 1-atom sets and {len(samples)} sampled 2-atom "
+        f"sets{exhaustive_note} ({ctx.checks} sentence checks)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -883,77 +806,56 @@ for _logic in LOGICS:
     "the literal membership reading of the belief-consulting disbelief "
     "rule under-derives; the derivability reading closes the gap",
     expectation="fails-with-witness",
+    logic="bd",
+    stated=(RULE_SETS["bd"], "membership"),
+    repaired=(RULE_SETS["bd"], "derivability"),
+    over_derives=lambda r: f"membership over-derives: {r.render()}",
+    still_differs="derivability reading still differs",
+    note="under the membership reading ({gaps} of 256 one-atom sets "
+    "under-derive, none over-derive; derivability closes every gap)",
 )
-def _membership_d_gap(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    cu1 = _cu(1)
-    records = readings_agree(
-        (RULE_SETS["bd"], "membership"), "bd", _all_n1_sets(), cu1
-    )
-    checks = 256 * len(cu1.sentences)
-    overshoot = [r for r in records if r.in_a]
-    if overshoot:
-        ce.append(f"membership over-derives: {overshoot[0].render()}")
-    witness_gamma = parse_information_set("B: !p")
-    witness_sentence = parse_sentence("D: p")
-    gap_sets = {r.gamma for r in records}
-    if not any(
-        r.gamma == witness_gamma and r.sentence == witness_sentence
-        for r in records
-    ):
-        ce.append("witness (Γ={B: !p}, D: p) not found in the gap")
-    repaired = readings_agree(
-        (RULE_SETS["bd"], "derivability"), "bd", sorted(gap_sets, key=_fmt), cu1
-    )
-    checks += len(gap_sets) * len(cu1.sentences)
-    if repaired:
-        ce.append(f"derivability reading still differs: {repaired[0].render()}")
-    summary = (
-        f"fails-as-stated; witness Γ={{B: !p}} misses D: p under the "
-        f"membership reading ({len(gap_sets)} of 256 one-atom sets "
-        "under-derive, none over-derive; derivability closes every gap)"
-    )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
-
-
 @_case(
     "bn-closure-gap",
     "the four-rule bn set under-derives relative to the bn decision "
     "procedure; adding the recursive disbelief rule repairs it",
     expectation="fails-with-witness",
+    logic="bn",
+    stated=(RULE_SETS["bn"], "derivability"),
+    repaired=(RULE_SETS["bn"] | {Rule.DPrime}, "derivability"),
+    over_derives=lambda r: "plain bn rule set over-derives somewhere",
+    still_differs="repaired rule set still differs",
+    note="({gaps} of 256 one-atom sets under-derive; adding the recursive "
+    "disbelief rule restores equality)",
 )
-def _bn_closure_gap(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
+def _reading_gap(
+    ctx: _Ctx,
+    logic: LogicId,
+    stated: tuple[frozenset[Rule], str],
+    repaired: tuple[frozenset[Rule], str],
+    over_derives: Callable[[Disagreement], str],
+    still_differs: str,
+    note: str,
+) -> str:
+    """Stated rules never over-derive on 1-atom sets yet miss D: p from
+    Γ={B: !p}; the repaired rules match ``logic`` on each set they got
+    wrong.  ``note`` ends the summary, ``{gaps}`` counting those sets."""
     cu1 = _cu(1)
-    records = readings_agree(
-        (RULE_SETS["bn"], "derivability"), "bn", _all_n1_sets(), cu1
-    )
-    checks = 256 * len(cu1.sentences)
-    if any(r.in_a for r in records):
-        ce.append("plain bn rule set over-derives somewhere")
-    witness_gamma = parse_information_set("B: !p")
-    witness_sentence = parse_sentence("D: p")
-    if not any(
-        r.gamma == witness_gamma and r.sentence == witness_sentence
-        for r in records
-    ):
-        ce.append("witness (Γ={B: !p}, D: p) not found in the gap")
+    records = readings_agree(stated, logic, _all_n1_sets(), cu1)
+    ctx.checks += 256 * len(cu1.sentences)
+    overshoot = [r for r in records if r.in_a]
+    if overshoot:
+        ctx.fail(over_derives(overshoot[0]))
+    witness = (parse_information_set("B: !p"), parse_sentence("D: p"))
+    if witness not in {(r.gamma, r.sentence) for r in records}:
+        ctx.fail("witness (Γ={B: !p}, D: p) not found in the gap")
     gap_sets = {r.gamma for r in records}
-    repaired = readings_agree(
-        (RULE_SETS["bn"] | {Rule.DPrime}, "derivability"),
-        "bn",
-        sorted(gap_sets, key=_fmt),
-        cu1,
+    still = readings_agree(repaired, logic, sorted(gap_sets, key=_fmt), cu1)
+    ctx.checks += len(gap_sets) * len(cu1.sentences)
+    if still:
+        ctx.fail(f"{still_differs}: {still[0].render()}")
+    return "fails-as-stated; witness Γ={B: !p} misses D: p " + note.format(
+        gaps=len(gap_sets)
     )
-    checks += len(gap_sets) * len(cu1.sentences)
-    if repaired:
-        ce.append(f"repaired rule set still differs: {repaired[0].render()}")
-    summary = (
-        f"fails-as-stated; witness Γ={{B: !p}} misses D: p "
-        f"({len(gap_sets)} of 256 one-atom sets under-derive; adding the "
-        "recursive disbelief rule restores equality)"
-    )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 @_case(
@@ -962,31 +864,28 @@ def _bn_closure_gap(ctx: _Ctx) -> CaseOutcome:
     "bd's collapse; the full-set reading matches combined inconsistency",
     expectation="fails-with-witness",
 )
-def _d_inconsistency_readings(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    literal_misses: list[InformationSet] = []
+def _d_inconsistency_readings(ctx: _Ctx) -> str:
+    literal_misses = 0
     for gamma in _all_n1_sets():
         rep = inconsistency_report("bd", gamma)
-        checks += 1
-        if rep.d_inconsistent != rep.combined_inconsistent:
-            ce.append(f"full reading diverges: Γ={_fmt(gamma)}")
-        if rep.combined_inconsistent and not rep.d_inconsistent_literal:
-            literal_misses.append(gamma)
-    canonical = parse_information_set("B: p\nD: p")
-    rep = inconsistency_report("bd", canonical)
-    checks += 1
-    if not (rep.combined_inconsistent and not rep.d_inconsistent_literal):
-        ce.append("Γ={B: p; D: p} should split the two readings")
+        ctx.check(
+            rep.d_inconsistent == rep.combined_inconsistent,
+            lambda: f"full reading diverges: Γ={_fmt(gamma)}",
+        )
+        literal_misses += rep.combined_inconsistent and not rep.d_inconsistent_literal
+    rep = inconsistency_report("bd", parse_information_set("B: p\nD: p"))
+    ctx.check(
+        rep.combined_inconsistent and not rep.d_inconsistent_literal,
+        lambda: "Γ={B: p; D: p} should split the two readings",
+    )
     if not literal_misses:
-        ce.append("no set separates the literal and full readings")
-    summary = (
+        ctx.fail("no set separates the literal and full readings")
+    return (
         f"fails-as-stated for the projection reading; witness "
         f"Γ={{B: p; D: p}} is combined-inconsistent yet its disbelief "
-        f"projection is innocent ({len(literal_misses)} of 256 sets split; "
-        f"full-set reading tracks combined inconsistency on all {checks})"
+        f"projection is innocent ({literal_misses} of 256 sets split; "
+        f"full-set reading tracks combined inconsistency on all {ctx.checks})"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 @_case(
@@ -994,34 +893,27 @@ def _d_inconsistency_readings(ctx: _Ctx) -> CaseOutcome:
     "adding the belief-introduction rule to the bd set changes nothing on "
     "combined-consistent sets but over-derives on inconsistent ones",
 )
-def _bprime_derived_rule(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
+def _bprime_derived_rule(ctx: _Ctx) -> str:
     with_bp = RULE_SETS["bd"] | {Rule.BPrime}
-    tried = 0
-    for _ in range(ctx.count(50, 150)):
-        cu = ctx.pick_universe()
-        gamma = generate_information_set(cu, 4, ctx.rng)
-        tried += 1
+    for cu, gamma in ctx.sampled_sets(50, 150):
         if inconsistency_report("bd", gamma).combined_inconsistent:
             continue
-        checks += 1
-        if close(with_bp, "derivability", gamma, cu) != close(
-            RULE_SETS["bd"], "derivability", gamma, cu
-        ):
-            ce.append(f"consistent set grew: Γ={_fmt(gamma)}")
+        ctx.check(
+            close(with_bp, "derivability", gamma, cu)
+            == close(RULE_SETS["bd"], "derivability", gamma, cu),
+            lambda: f"consistent set grew: Γ={_fmt(gamma)}",
+        )
     canonical = parse_information_set("B: q\nD: q")
-    cu2 = _cu(2)
-    checks += 1
-    base = close(RULE_SETS["bd"], "derivability", canonical, cu2)
-    grown = close(with_bp, "derivability", canonical, cu2)
-    if not base < grown:
-        ce.append("Γ={B: q; D: q} should gain sentences from the extra rule")
-    summary = (
-        f"conservative on {checks - 1} combined-consistent sets (of {tried} "
-        "sampled); over-derives on the inconsistent witness Γ={B: q; D: q}"
+    ctx.check(
+        close(RULE_SETS["bd"], "derivability", canonical, _cu(2))
+        < close(with_bp, "derivability", canonical, _cu(2)),
+        lambda: "Γ={B: q; D: q} should gain sentences from the extra rule",
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+    return (
+        f"conservative on {ctx.checks - 1} combined-consistent sets (of "
+        f"{ctx.count(50, 150)} sampled); over-derives on the inconsistent "
+        "witness Γ={B: q; D: q}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1033,105 +925,90 @@ def _bprime_derived_rule(ctx: _Ctx) -> CaseOutcome:
     "every constructed countermodel satisfies the premises and refutes "
     "the query",
 )
-def _countermodel_validity(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
+def _countermodel_validity(ctx: _Ctx) -> str:
     built = 0
-    checks = 0
-    logics: tuple[LogicId, ...] = ("wbd", "gbd", "bd")
-    for i in range(ctx.count(80, 300)):
-        logic = logics[i % 3]
-        cu = ctx.pick_universe()
+    logics = itertools.cycle(("wbd", "gbd", "bd"))
+    for logic, (cu, gamma) in zip(logics, ctx.sampled_sets(80, 300)):
         u = cu.universe
-        gamma = generate_information_set(cu, 4, ctx.rng)
         alpha = ctx.rng.choice(cu.sentences)
-        checks += 1
+        ctx.checks += 1
         if decide(logic, gamma, alpha, u).entailed:
             continue
         model = construct_countermodel(logic, gamma, alpha, u)
         built += 1
         if not holds_all(model, gamma) or satisfies(model, alpha):
-            ce.append(f"{logic}: Γ={_fmt(gamma)}, α={render_sentence(alpha)}")
-    summary = (
+            ctx.fail(f"{logic}: Γ={_fmt(gamma)}, α={render_sentence(alpha)}")
+    return (
         f"{built} countermodels constructed and re-verified against the "
-        f"satisfaction relation ({checks} verdicts inspected)"
+        f"satisfaction relation ({ctx.checks} verdicts inspected)"
     )
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
 
 
 @_case(
     "bd-models-embed-wbd",
     "every bd model is a wbd model, so bd can only have fewer models",
 )
-def _bd_models_embed(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
+def _bd_models_embed(ctx: _Ctx) -> str:
     u1 = _cu(1).universe
     for _ in range(ctx.count(40, 120)):
         gamma = generate_information_set(_cu(1), 4, ctx.rng)
-        checks += 1
-        if count_models("bd", gamma, u1) > count_models("wbd", gamma, u1):
-            ce.append(f"more bd than wbd models: Γ={_fmt(gamma)}")
+        ctx.check(
+            count_models("bd", gamma, u1) <= count_models("wbd", gamma, u1),
+            lambda: f"more bd than wbd models: Γ={_fmt(gamma)}",
+        )
         for model in enumerate_models("bd", gamma, u1):
-            checks += 1
             assert isinstance(model, ModelBD)
             lifted = ModelWBD(model.m, model.family, model.universe)
-            if not holds_all(lifted, gamma):
-                ce.append(f"bd model fails as wbd model: Γ={_fmt(gamma)}")
+            if not ctx.check(
+                holds_all(lifted, gamma),
+                lambda: f"bd model fails as wbd model: Γ={_fmt(gamma)}",
+            ):
                 break
+    u2 = _cu(2).universe
     for _ in range(ctx.count(8, 25)):
         gamma = generate_information_set(_cu(2), 4, ctx.rng)
-        checks += 1
-        u2 = _cu(2).universe
-        if count_models("bd", gamma, u2) > count_models("wbd", gamma, u2):
-            ce.append(f"more bd than wbd models at 2 atoms: Γ={_fmt(gamma)}")
-    summary = f"bd model classes embed into wbd ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+        ctx.check(
+            count_models("bd", gamma, u2) <= count_models("wbd", gamma, u2),
+            lambda: f"more bd than wbd models at 2 atoms: Γ={_fmt(gamma)}",
+        )
+    return f"bd model classes embed into wbd ({ctx.checks} checks)"
 
 
 @_case(
     "gbd-universe-extension",
     "gbd oracle verdicts are stable when a fresh atom joins the universe",
 )
-def _gbd_universe_extension(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
+def _gbd_universe_extension(ctx: _Ctx) -> str:
     cu2 = _cu(2)
     u2 = cu2.universe
     u3 = AtomUniverse(("p", "q", "r"))
     for _ in range(ctx.count(40, 150)):
         gamma = generate_information_set(cu2, 4, ctx.rng)
         alpha = ctx.rng.choice(cu2.sentences)
-        checks += 1
-        small = brute_force_entails("gbd", gamma, alpha, u2).entailed
-        big = brute_force_entails("gbd", gamma, alpha, u3).entailed
-        if small != big:
-            ce.append(f"Γ={_fmt(gamma)}, α={render_sentence(alpha)}")
-    summary = f"oracle verdicts invariant under a fresh atom ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+        ctx.check(
+            brute_force_entails("gbd", gamma, alpha, u2).entailed
+            == brute_force_entails("gbd", gamma, alpha, u3).entailed,
+            lambda: f"Γ={_fmt(gamma)}, α={render_sentence(alpha)}",
+        )
+    return f"oracle verdicts invariant under a fresh atom ({ctx.checks} checks)"
 
 
 @_case(
     "universe-stability",
     "decision verdicts do not change when the universe gains unused atoms",
 )
-def _universe_stability(ctx: _Ctx) -> CaseOutcome:
-    ce: list[str] = []
-    checks = 0
-    u1 = _cu(1).universe
-    u2 = _cu(2).universe
-    u3 = AtomUniverse(("p", "q", "r"))
+def _universe_stability(ctx: _Ctx) -> str:
+    universes = (_cu(1).universe, _cu(2).universe, AtomUniverse(("p", "q", "r")))
     for _ in range(ctx.count(80, 300)):
         gamma = generate_information_set(_cu(1), 4, ctx.rng)
         alpha = ctx.rng.choice(_cu(1).sentences)
         for logic in LOGICS:
-            checks += 1
-            verdicts = {
-                decide(logic, gamma, alpha, u).entailed for u in (u1, u2, u3)
-            }
-            if len(verdicts) != 1:
-                ce.append(f"{logic}: Γ={_fmt(gamma)}, α={render_sentence(alpha)}")
-    summary = f"verdicts stable across three universes ({checks} checks)"
-    return CaseOutcome(not ce, summary, checks, tuple(ce[:3]))
+            verdicts = {decide(logic, gamma, alpha, u).entailed for u in universes}
+            ctx.check(
+                len(verdicts) == 1,
+                lambda: f"{logic}: Γ={_fmt(gamma)}, α={render_sentence(alpha)}",
+            )
+    return f"verdicts stable across three universes ({ctx.checks} checks)"
 
 
 # ---------------------------------------------------------------------------
@@ -1198,19 +1075,19 @@ def run_suite(
     results = []
     for case_id in selected:
         case = _CASES[case_id]
-        rng = random.Random(f"{seed}:{case_id}")
+        ctx = _Ctx(random.Random(f"{seed}:{case_id}"), scale)
         t0 = time.perf_counter()
-        outcome = case.runner(_Ctx(rng, scale))
+        summary = case.runner(ctx)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         results.append(
             CaseResult(
                 case_id=case.case_id,
                 description=case.description,
                 expectation=case.expectation,
-                passed=outcome.passed,
-                summary=outcome.summary,
-                cases_run=outcome.cases_run,
-                counterexamples=outcome.counterexamples,
+                passed=not ctx.failures,
+                summary=summary,
+                cases_run=ctx.checks,
+                counterexamples=tuple(ctx.failures[: case.counterexample_cap]),
                 wall_ms=wall_ms,
             )
         )
