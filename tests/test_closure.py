@@ -283,8 +283,8 @@ def _render_set(sentences) -> str:
     return "{" + "; ".join(sorted(render_sentence(s) for s in sentences)) + "}"
 
 
-def augmented_closures_digest(cu1, cu2) -> str:
-    """SHA-256 over the sorted rendered closures of the pinned inputs."""
+def _pinned_inputs(cu1, cu2):
+    """Every one-atom set, then 40 seeded two-atom sets of size <= 4."""
     one_atom = cu1.sentences
     inputs = [
         (cu1, InformationSet(frozenset(s for i, s in enumerate(one_atom) if k >> i & 1)))
@@ -295,8 +295,14 @@ def augmented_closures_digest(cu1, cu2) -> str:
         (cu2, InformationSet(frozenset(rng.sample(cu2.sentences, rng.randint(0, 4)))))
         for _ in range(40)
     ]
+    return inputs
+
+
+def augmented_closures_digest(cu1, cu2, rule_sets=AUGMENTED_RULE_SETS) -> str:
+    """SHA-256 over the sorted rendered closures of the pinned inputs."""
+    inputs = _pinned_inputs(cu1, cu2)
     lines = []
-    for name, rules in AUGMENTED_RULE_SETS.items():
+    for name, rules in rule_sets.items():
         for reading in ("membership", "derivability"):
             for cu, gamma in inputs:
                 head = f"{name} {reading} {cu.universe.n} {_render_set(gamma)}"
@@ -310,3 +316,41 @@ def augmented_closures_digest(cu1, cu2) -> str:
 
 def test_augmented_closures_are_pinned(cu1, cu2):
     assert augmented_closures_digest(cu1, cu2) == AUGMENTED_CLOSURES_SHA256
+
+
+# The four plain rule sets under both readings, on the same inputs.  This
+# pins the membership gaps of bd and bn byte for byte; the digest was
+# recorded before the engine kept its class sets as bitsets.
+PLAIN_CLOSURES_SHA256 = (
+    "033b3ba360580f2df1677b64b9e06cf74cdc6989bc14fd3a052c853f09e4020d"
+)
+
+
+def test_plain_closures_are_pinned(cu1, cu2):
+    assert augmented_closures_digest(cu1, cu2, RULE_SETS) == PLAIN_CLOSURES_SHA256
+
+
+# Which pinned inputs overflow a smaller family registry, per cap, for the
+# augmented rule sets under the derivability reading.  Recorded before the
+# engine kept its class sets as bitsets, which must not move the trips.
+FAMILY_TRIPS = {4: 50, 16: 11, 64: 8}
+FAMILY_TRIPS_SHA256 = (
+    "37fe612d9f15a08bb833bd603d366d54e4ea246eccc1bac3c33bb0575752dc51"
+)
+
+
+def test_family_guard_trips_on_pinned_inputs(cu1, cu2, monkeypatch):
+    inputs = _pinned_inputs(cu1, cu2)
+    lines = []
+    for cap in FAMILY_TRIPS:
+        monkeypatch.setattr(closure_mod, "_MAX_FAMILY", cap)
+        for name, rules in AUGMENTED_RULE_SETS.items():
+            for cu, gamma in inputs:
+                try:
+                    close(rules, "derivability", gamma, cu)
+                except ClosureScaleError:
+                    lines.append(f"{cap} {name} {cu.universe.n} {_render_set(gamma)}")
+    trips = {cap: sum(line.startswith(f"{cap} ") for line in lines) for cap in FAMILY_TRIPS}
+    assert trips == FAMILY_TRIPS
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == FAMILY_TRIPS_SHA256
