@@ -25,16 +25,17 @@ keys the family and keeps it small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Union
 
-from .decision import consequences
+from .decision import consequence_masks
 from .plcore import AtomUniverse, formula_for_class, models_of
 from .syntax import (
     Belief,
     Disbelief,
-    Formula,
     InformationSet,
     Sentence,
     render_sentence,
@@ -86,9 +87,13 @@ class ClosureScaleError(ValueError):
 
 
 class ClosureUniverse:
-    """All semantic classes of a 1- or 2-atom universe, with representatives."""
+    """All semantic classes of a 1- or 2-atom universe, with representatives.
 
-    __slots__ = ("universe", "classes", "representatives", "sentences")
+    A set of classes is an int, bit ``c`` standing for class ``c``; ``up[x]``
+    and ``down[x]`` are the sets of classes that contain and that lie in ``x``.
+    """
+
+    __slots__ = ("universe", "classes", "sentences", "up", "down")
 
     def __init__(self, universe: AtomUniverse):
         if universe.n not in (1, 2):
@@ -97,28 +102,46 @@ class ClosureUniverse:
             )
         self.universe = universe
         self.classes = tuple(range(universe.full_mask + 1))
-        self.representatives = {
-            c: formula_for_class(c, universe) for c in self.classes
-        }
-        self.sentences = tuple(
-            Belief(self.representatives[c]) for c in self.classes
-        ) + tuple(Disbelief(self.representatives[c]) for c in self.classes)
+        # the belief in class c, then the disbelief in class c at len(classes) + c
+        reps = [formula_for_class(c, universe) for c in self.classes]
+        self.sentences = tuple(map(Belief, reps)) + tuple(map(Disbelief, reps))
+        self.up, self.down = _subset_tables(universe.n)
 
     def sentence(self, kind_belief: bool, mask: int) -> Sentence:
-        rep = self.representatives[mask]
-        return Belief(rep) if kind_belief else Disbelief(rep)
+        return self.sentences[mask if kind_belief else len(self.classes) + mask]
 
     def __repr__(self) -> str:
         return f"ClosureUniverse(atoms={list(self.universe.atoms)!r})"
 
 
-def build_universe(n: int, atoms: Sequence[str] | None = None) -> ClosureUniverse:
-    """Closure universe over ``n`` atoms (named p, q unless given)."""
-    if atoms is None:
-        atoms = ("p", "q")[:n]
-    if len(tuple(atoms)) != n:
-        raise ValueError(f"expected {n} atom names, got {atoms!r}")
-    return ClosureUniverse(AtomUniverse(atoms))
+@functools.cache
+def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``up`` and ``down`` over ``n`` atoms, by enumerating class inclusion."""
+    classes = range(1 << (1 << n))
+    up = tuple(_union(1 << c for c in classes if x & ~c == 0) for x in classes)
+    down = tuple(_union(1 << c for c in classes if c & ~x == 0) for x in classes)
+    return up, down
+
+
+def _union(sets: Iterable[int]) -> int:
+    """OR of the given ints: a union of sets of classes, or of model sets."""
+    return functools.reduce(operator.or_, sets, 0)
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The classes in a set of classes, in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def build_universe(n: int, atoms: Iterable[str] | None = None) -> ClosureUniverse:
+    """Closure universe over ``n`` distinct atoms (named p, q unless given)."""
+    names = ("p", "q")[:n] if atoms is None else tuple(atoms)
+    if len(set(names)) != n or len(names) != n:
+        raise ValueError(f"expected {n} distinct atom names, got {names!r}")
+    return ClosureUniverse(AtomUniverse(names))
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +152,24 @@ _MAX_FAMILY = 4096
 
 @dataclass
 class _SetState:
-    seed_beliefs: frozenset[int]
-    seed_disbeliefs: frozenset[int]
-    beliefs: set[int] = field(default_factory=set)
-    disbeliefs: set[int] = field(default_factory=set)
+    """One set of the family; each field is a set of classes."""
+
+    seed_beliefs: int
+    seed_disbeliefs: int
+    beliefs: int
+    disbeliefs: int
 
 
 class _Engine:
     def __init__(self, rules: frozenset[Rule], reading: RuleReading, cu: ClosureUniverse):
         self.rules = rules
-        self.reading = reading
+        self.membership = reading == "membership"
         self.cu = cu
         self.full = cu.universe.full_mask
-        self.classes = cu.classes
-        self.family: dict[tuple, _SetState] = {}
-        self.created = False
+        self.every = (1 << len(cu.classes)) - 1
+        self.family: dict[tuple[int, int], _SetState] = {}
+        self._seeded: dict[tuple[int, int], _SetState] = {}
+        self._by_conj = not self.membership and Rule.B in rules
         # Disbelief seeds can be canonicalized — restricted to the belief
         # conjunction, dominated seeds dropped — whenever every disbelief
         # rule present reads its seeds relative to the beliefs (D/DPrime
@@ -151,34 +177,26 @@ class _Engine:
         # masks, so they block it.  This bounds the reachable family for
         # rule sets with BPrime, whose children otherwise pile up seeds.
         self._canonical_seeds = (
-            reading == "derivability"
-            and Rule.B in rules
+            self._by_conj
             and bool(rules & {Rule.D, Rule.DPrime})
             and not rules & {Rule.WD, Rule.GD, Rule.DtoB}
         )
 
-    def _conj(self, beliefs: Iterable[int]) -> int:
+    def _conj(self, beliefs: int) -> int:
         """The class of the conjunction of the given belief classes."""
-        conj = self.full
-        for c in beliefs:
-            conj &= c
-        return conj
+        return functools.reduce(operator.and_, _members(beliefs), self.full)
 
-    def _key(self, sb: frozenset[int], sd: frozenset[int]) -> tuple:
-        if self.reading == "derivability" and Rule.B in self.rules:
-            return ("conj", self._conj(sb), sd)
-        return ("set", sb, sd)
-
-    def register(self, sb: frozenset[int], sd: frozenset[int]) -> _SetState:
+    def register(self, sb: int, sd: int) -> _SetState:
+        # the rules revisit the same augmented seeds round after round
+        seeds = (sb, sd)
+        if seeds in self._seeded:
+            return self._seeded[seeds]
         if self._canonical_seeds and sd:
-            conj = self._conj(sb)
-            restricted = {conj & psi for psi in sd}
-            sd = frozenset(
-                p
-                for p in restricted
-                if not any(p != q and p & ~q == 0 for q in restricted)
-            )
-        key = self._key(sb, sd)
+            conj, up = self._conj(sb), self.cu.up
+            r = _union(1 << (conj & psi) for psi in _members(sd))
+            # keep the restricted seeds r that no other one contains
+            sd = _union(1 << p for p in _members(r) if up[p] & r == 1 << p)
+        key = (self._conj(sb) if self._by_conj else sb, sd)
         state = self.family.get(key)
         if state is None:
             if len(self.family) >= _MAX_FAMILY:
@@ -186,97 +204,87 @@ class _Engine:
                     f"rule evaluation reached {_MAX_FAMILY} auxiliary sets; "
                     "this rule set does not close tractably"
                 )
-            state = _SetState(sb, sd, set(sb), set(sd))
+            state = _SetState(sb, sd, sb, sd)
             self.family[key] = state
-            self.created = True
+        self._seeded[seeds] = state
         return state
 
-    def run(self) -> int:
-        rounds = 0
+    def run(self) -> None:
         while True:
-            rounds += 1
-            self.created = False
+            size = len(self.family)
             changed = False
             for state in list(self.family.values()):
                 changed |= self._apply(state)
             # a freshly registered set counts as progress even when nothing
             # grew this round: it still has to be processed at least once
-            if not (changed or self.created):
-                return rounds
+            if not changed and len(self.family) == size:
+                return
 
     def _apply(self, state: _SetState) -> bool:
-        membership = self.reading == "membership"
-        bel_src = state.seed_beliefs if membership else state.beliefs
-        dis_src = state.seed_disbeliefs if membership else state.disbeliefs
+        rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
+        bel_src = state.seed_beliefs if self.membership else state.beliefs
+        dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
-        add_b: set[int] = set()
-        add_d: set[int] = set()
+        disbelieved = tuple(_members(dis_src))
+        add_b = up[conj] if Rule.B in rules else 0
+        add_d = 1 if Rule.DBot in rules else 0
 
-        if Rule.B in self.rules:
-            for c in self.classes:
-                if conj & ~c == 0:
-                    add_b.add(c)
-        if Rule.DBot in self.rules:
-            add_d.add(0)
-        if Rule.WD in self.rules:
-            for psi in dis_src:
-                for c in self.classes:
-                    if c & ~psi == 0:
-                        add_d.add(c)
-        if Rule.GD in self.rules:
-            dual = self.full
-            for psi in dis_src:
-                dual &= self.full & ~psi
-            for c in self.classes:
-                if dual & c == 0:
-                    add_d.add(c)
-        if Rule.D in self.rules:
-            for psi in dis_src:
-                for c in self.classes:
-                    if conj & c & ~psi == 0:
-                        add_d.add(c)
-        if Rule.DtoB in self.rules:
-            for psi in dis_src:
-                add_b.add(self.full & ~psi)
-        if Rule.DPrime in self.rules:
-            if membership:
-                for psi in dis_src:
-                    for c in self.classes:
-                        if psi in state.seed_beliefs or psi == c:
-                            add_d.add(c)
+        if Rule.WD in rules:
+            add_d |= _union(down[psi] for psi in disbelieved)
+        if Rule.GD in rules:
+            # the negated disbeliefs refute exactly the classes inside the
+            # union of the disbelieved ones
+            add_d |= down[_union(disbelieved)]
+        if Rule.D in rules:
+            add_d |= _union(down[psi | full & ~conj] for psi in disbelieved)
+        if Rule.DtoB in rules:
+            add_b |= _union(1 << (full & ~psi) for psi in disbelieved)
+        if Rule.DPrime in rules:
+            if self.membership:
+                add_d |= self.every if dis_src & state.seed_beliefs else dis_src
             elif dis_src:
                 # one augmented set per class: disbelieve c when the set
                 # plus B: c comes to believe something disbelieved
-                for c in self.classes:
-                    if c in state.disbeliefs or c in add_d:
-                        continue
+                for c in _members(self.every & ~(state.disbeliefs | add_d)):
                     child = self.register(
-                        state.seed_beliefs | {c}, state.seed_disbeliefs
+                        state.seed_beliefs | 1 << c, state.seed_disbeliefs
                     )
-                    if not child.beliefs.isdisjoint(dis_src):
-                        add_d.add(c)
-        if Rule.BPrime in self.rules:
-            if membership:
-                for psi in bel_src:
-                    for c in self.classes:
-                        if psi in state.seed_disbeliefs or psi == c:
-                            add_b.add(c)
+                    if child.beliefs & dis_src:
+                        add_d |= 1 << c
+        if Rule.BPrime in rules:
+            if self.membership:
+                add_b |= self.every if bel_src & state.seed_disbeliefs else bel_src
             elif bel_src:
                 # believe c when the set plus D: c comes to disbelieve
                 # something believed
-                for c in self.classes:
-                    if c in state.beliefs or c in add_b:
-                        continue
+                for c in _members(self.every & ~(state.beliefs | add_b)):
                     child = self.register(
-                        state.seed_beliefs, state.seed_disbeliefs | {c}
+                        state.seed_beliefs, state.seed_disbeliefs | 1 << c
                     )
-                    if not child.disbeliefs.isdisjoint(bel_src):
-                        add_b.add(c)
+                    if child.disbeliefs & bel_src:
+                        add_b |= 1 << c
 
-        grew = not (add_b <= state.beliefs and add_d <= state.disbeliefs)
+        grew = bool(add_b & ~state.beliefs or add_d & ~state.disbeliefs)
         state.beliefs |= add_b
         state.disbeliefs |= add_d
         return grew
+
+
+def _close_masks(
+    rules: Iterable[Rule],
+    reading: RuleReading,
+    gamma: InformationSet,
+    cu: ClosureUniverse,
+) -> tuple[int, int]:
+    """:func:`close` as the sets of derived belief and disbelief classes."""
+    if reading not in ("membership", "derivability"):
+        raise ValueError(f"unknown reading {reading!r}")
+    sb = _union(1 << models_of(body, cu.universe) for body in gamma.belief_bodies)
+    sd = _union(1 << models_of(body, cu.universe) for body in gamma.disbelief_bodies)
+    engine = _Engine(frozenset(rules), reading, cu)
+    top = engine.register(sb, sd)
+    engine.run()
+    return top.beliefs, top.disbeliefs
 
 
 def close(
@@ -289,20 +297,8 @@ def close(
 
     Returns every derivable sentence of the universe, the seeds included.
     """
-    if reading not in ("membership", "derivability"):
-        raise ValueError(f"unknown reading {reading!r}")
-    u = cu.universe
-    sb = frozenset(models_of(b, u) for b in gamma.belief_bodies)
-    sd = frozenset(models_of(b, u) for b in gamma.disbelief_bodies)
-    engine = _Engine(frozenset(rules), reading, cu)
-    top = engine.register(sb, sd)
-    engine.run()
-    result: set[Sentence] = set()
-    for c in top.beliefs:
-        result.add(cu.sentence(True, c))
-    for c in top.disbeliefs:
-        result.add(cu.sentence(False, c))
-    return frozenset(result)
+    derived = _sentence_bits((rules, reading), gamma, cu)
+    return frozenset(cu.sentences[i] for i in _members(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +329,13 @@ def sentence_order_key(universe: AtomUniverse):
     return key
 
 
-def _consequence_set(
-    side: SideSpec, gamma: InformationSet, cu: ClosureUniverse
-) -> frozenset[Sentence]:
+def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -> int:
+    """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
     if isinstance(side, str):
-        return consequences(side, gamma, cu.universe)
-    rules, reading = side
-    return close(rules, reading, gamma, cu)  # type: ignore[arg-type]
+        beliefs, disbeliefs = consequence_masks(side, gamma, cu.universe)
+    else:
+        beliefs, disbeliefs = _close_masks(*side, gamma, cu)  # type: ignore[arg-type]
+    return beliefs | disbeliefs << len(cu.classes)
 
 
 def readings_agree(
@@ -352,21 +348,12 @@ def readings_agree(
 
     A side is either a logic name (its decision procedure) or a
     ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
+    Each set's records come in :func:`sentence_order_key` order.
     """
     records: list[Disagreement] = []
-    order = sentence_order_key(cu.universe)
     for gamma in samples:
-        left = _consequence_set(a, gamma, cu)
-        right = _consequence_set(b, gamma, cu)
-        if left == right:
-            continue
-        for sentence in sorted(left ^ right, key=order):
-            records.append(
-                Disagreement(
-                    gamma=gamma,
-                    sentence=sentence,
-                    in_a=sentence in left,
-                    in_b=sentence in right,
-                )
-            )
+        left, right = _sentence_bits(a, gamma, cu), _sentence_bits(b, gamma, cu)
+        for i in _members(left ^ right):
+            in_a = bool(left >> i & 1)
+            records.append(Disagreement(gamma, cu.sentences[i], in_a, not in_a))
     return records

@@ -55,6 +55,7 @@ __all__ = [
     "InconsistencyReport",
     "inconsistency_report",
     "consequences",
+    "consequence_masks",
     "CONSEQUENCE_UNIVERSE_LIMIT",
 ]
 
@@ -309,27 +310,40 @@ def inconsistency_report(
 # Finite consequence slices
 
 
-def consequences(
+def consequence_masks(
     logic: LogicId, gamma: InformationSet, universe: AtomUniverse
-) -> frozenset[Sentence]:
-    """Every entailed sentence over ``universe``, one per semantic class.
+) -> tuple[int, int]:
+    """The entailed belief classes and disbelief classes, bit c for class c.
 
-    The slice has one belief and one disbelief per class (class
-    representatives from :func:`formula_for_class`), so it is finite:
+    The slice has one belief and one disbelief per class, so it is finite:
     2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  ``gamma`` is
-    compiled once and each class mask is tested directly; a representative
-    is built only for the entailed ones.
+    compiled once and each class mask is tested directly.
     """
     if universe.n > CONSEQUENCE_UNIVERSE_LIMIT:
         raise ValueError(
             f"consequence enumeration supports at most {CONSEQUENCE_UNIVERSE_LIMIT} "
             f"atoms, got {universe.n}"
         )
-    rule = _RULES[logic]
-    compiled = _Compiled(gamma, universe)
-    entailed: set[Sentence] = set()
-    for mask in range(universe.full_mask + 1):
-        for kind in (Belief, Disbelief):
-            if rule(compiled, kind is Belief, mask) is not None:
-                entailed.add(kind(formula_for_class(mask, universe)))
-    return frozenset(entailed)
+    rule, compiled = _RULES[logic], _Compiled(gamma, universe)
+    masks = range(universe.full_mask + 1)
+    return tuple(  # type: ignore[return-value]
+        sum(1 << m for m in masks if rule(compiled, belief, m) is not None)
+        for belief in (True, False)
+    )
+
+
+def consequences(
+    logic: LogicId, gamma: InformationSet, universe: AtomUniverse
+) -> frozenset[Sentence]:
+    """Every entailed sentence over ``universe``, one per semantic class.
+
+    The classes come from :func:`consequence_masks`; a representative from
+    :func:`formula_for_class` is built only for the entailed ones.
+    """
+    beliefs, disbeliefs = consequence_masks(logic, gamma, universe)
+    return frozenset(
+        kind(formula_for_class(mask, universe))
+        for mask in range(universe.full_mask + 1)
+        for kind, bits in ((Belief, beliefs), (Disbelief, disbeliefs))
+        if bits >> mask & 1
+    )

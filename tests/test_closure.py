@@ -61,6 +61,14 @@ class TestUniverse:
         with pytest.raises(ValueError):
             build_universe(1, atoms=("p", "q"))
 
+    def test_repeated_atom_names_rejected(self):
+        with pytest.raises(ValueError):
+            build_universe(2, atoms=("p", "p"))
+
+    def test_atom_names_read_once_from_an_iterator(self):
+        cu = build_universe(2, atoms=iter(("a", "b")))
+        assert cu.universe.atoms == ("a", "b")
+
 
 class TestRuleSets:
     def test_rules_are_strings(self):
@@ -245,9 +253,10 @@ class TestEngineLimits:
             cu2,
         )
         u = cu2.universe
+        # seeds are sets of classes, bit c standing for class c
         engine.register(
-            frozenset(models_of(b, u) for b in gamma.belief_bodies),
-            frozenset(models_of(b, u) for b in gamma.disbelief_bodies),
+            sum(1 << models_of(b, u) for b in gamma.belief_bodies),
+            sum(1 << models_of(b, u) for b in gamma.disbelief_bodies),
         )
         engine.run()
         assert len(engine.family) == 1
