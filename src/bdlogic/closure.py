@@ -225,20 +225,19 @@ class _Engine:
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
-        disbelieved = tuple(_members(dis_src))
         add_b = up[conj] if Rule.B in rules else 0
         add_d = 1 if Rule.DBot in rules else 0
 
         if Rule.WD in rules:
-            add_d |= _union(down[psi] for psi in disbelieved)
+            add_d |= _union(down[psi] for psi in _members(dis_src))
         if Rule.GD in rules:
             # the negated disbeliefs refute exactly the classes inside the
             # union of the disbelieved ones
-            add_d |= down[_union(disbelieved)]
+            add_d |= down[_union(_members(dis_src))]
         if Rule.D in rules:
-            add_d |= _union(down[psi | full & ~conj] for psi in disbelieved)
+            add_d |= _union(down[psi | full & ~conj] for psi in _members(dis_src))
         if Rule.DtoB in rules:
-            add_b |= _union(1 << (full & ~psi) for psi in disbelieved)
+            add_b |= _union(1 << (full & ~psi) for psi in _members(dis_src))
         if Rule.DPrime in rules:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
@@ -270,13 +269,13 @@ class _Engine:
         return grew
 
 
-def _close_masks(
+def _close_bits(
     rules: Iterable[Rule],
     reading: RuleReading,
     gamma: InformationSet,
     cu: ClosureUniverse,
-) -> tuple[int, int]:
-    """:func:`close` as the sets of derived belief and disbelief classes."""
+) -> int:
+    """:func:`close` as bits, bit i standing for ``cu.sentences[i]``."""
     if reading not in ("membership", "derivability"):
         raise ValueError(f"unknown reading {reading!r}")
     sb = _union(1 << models_of(body, cu.universe) for body in gamma.belief_bodies)
@@ -284,7 +283,7 @@ def _close_masks(
     engine = _Engine(frozenset(rules), reading, cu)
     top = engine.register(sb, sd)
     engine.run()
-    return top.beliefs, top.disbeliefs
+    return top.beliefs | top.disbeliefs << len(cu.classes)
 
 
 def close(
@@ -297,7 +296,7 @@ def close(
 
     Returns every derivable sentence of the universe, the seeds included.
     """
-    derived = _sentence_bits((rules, reading), gamma, cu)
+    derived = _close_bits(rules, reading, gamma, cu)
     return frozenset(cu.sentences[i] for i in _members(derived))
 
 
@@ -333,9 +332,8 @@ def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -
     """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
     if isinstance(side, str):
         beliefs, disbeliefs = consequence_masks(side, gamma, cu.universe)
-    else:
-        beliefs, disbeliefs = _close_masks(*side, gamma, cu)  # type: ignore[arg-type]
-    return beliefs | disbeliefs << len(cu.classes)
+        return beliefs | disbeliefs << len(cu.classes)
+    return _close_bits(*side, gamma, cu)  # type: ignore[arg-type]
 
 
 def readings_agree(
