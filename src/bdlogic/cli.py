@@ -18,6 +18,7 @@ JSON payloads all carry ``"schema": 1`` and are emitted with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -63,13 +64,16 @@ class _InputError(Exception):
 
 
 def _read_document(path: str) -> tuple[str, str]:
+    """The document's text, without one leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(), path
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        text, source = sys.stdin.read(), "<stdin>"
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text, source = fh.read(), path
+        except OSError as exc:
+            raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return text.removeprefix("\ufeff"), source
 
 
 def _load_gamma(path: str) -> tuple[InformationSet, str]:
@@ -366,7 +370,10 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 # Parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call to main, not at import; parse_args keeps no
+    # state between calls, so one parser serves every call in the process
     parser = argparse.ArgumentParser(
         prog="bdl",
         description="reasoning with beliefs and disbeliefs in four logics",

@@ -18,7 +18,9 @@ disbelief under a connective, and the grammar keeps it that way.
 
 The ``.bdl`` document format is line-oriented UTF-8: one sentence per line,
 ``#`` starts a comment to end of line, blank lines are ignored, and a bare
-formula line is shorthand for a belief.
+formula line is shorthand for a belief.  The command line drops one leading
+byte-order mark (U+FEFF) before a document reaches the parser; the parser
+itself rejects the character like any other.
 """
 
 from __future__ import annotations

@@ -127,6 +127,29 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "-", "--query", "B: s", "--logic", "bd")
         assert code == 0
 
+    def test_byte_order_mark_is_dropped(
+        self, capsys, monkeypatch, tmp_path, murder_file
+    ):
+        path = tmp_path / "bom.bdl"
+        path.write_bytes(b"\xef\xbb\xbf" + MURDER.encode("utf-8"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + MURDER))
+        argv = ("--query", "D: k", "--logic", "all", "--json")
+        _, plain, _ = run(capsys, "check", murder_file, *argv)
+        for doc in (str(path), "-"):
+            code, out, err = run(capsys, "check", doc, *argv)
+            assert (code, err) == (1, "")
+            got, want = json.loads(out), json.loads(plain)
+            assert got["input"]["source"] == ("<stdin>" if doc == "-" else doc)
+            got["input"]["source"] = want["input"]["source"]
+            assert got == want
+
+    def test_only_one_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        path = tmp_path / "bom2.bdl"
+        path.write_text("\ufeff\ufeff" + MURDER, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(path), "--query", "B: s")
+        assert code == 2
+        assert "'\\ufeff' at line 1, column 1" in err
+
     def test_malformed_query_exits_two(self, capsys, murder_file):
         code, _, err = run(capsys, "check", murder_file, "--query", "D: k &")
         assert code == 2

@@ -127,6 +127,46 @@ def test_meta_json_output_is_byte_identical():
     assert {META_CASE: _run(META_ARGV)} == _pinned([META_CASE])
 
 
+# One process, one parser: each call after a rejected argv or a call with a
+# flag set must print what its pinned case printed.  A pinned case id, or
+# None for an argv that argparse rejects; the pinned outputs all differ, so
+# a flag carried over to the next call shows.
+REUSE = [
+    ("murder check bd D: s --countermodel",
+     ["check", "murder.bdl", "--query", "D: s", "--logic", "bd", "--json", "--countermodel"]),
+    (None, ["check", "murder.bdl", "--logic", "bd", "--countermodel"]),
+    ("murder check bd D: s",
+     ["check", "murder.bdl", "--query", "D: s", "--logic", "bd", "--json"]),
+    ("coupled closure bd membership",
+     ["closure", "coupled.bdl", "--logic", "bd", "--reading", "membership", "--json"]),
+    (None, ["closure", "coupled.bdl", "--reading", "membership", "--atoms", "two"]),
+    ("coupled closure bd derivability", ["closure", "coupled.bdl", "--logic", "bd", "--json"]),
+    ("agnostic consequences bd --atoms 2",
+     ["consequences", "agnostic.bdl", "--logic", "bd", "--json", "--atoms", "2"]),
+    (None, ["consequences", "agnostic.bdl", "--atoms", "2", "--logic", "kd45"]),
+    ("agnostic consequences bd", ["consequences", "agnostic.bdl", "--json"]),
+]
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    from bdlogic.cli import _build_parser
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "murder.bdl").write_text(DOCUMENTS["murder"][0], encoding="utf-8")
+    for name in ("coupled", "agnostic"):
+        (tmp_path / f"{name}.bdl").write_text(SLICES[name][0], encoding="utf-8")
+    pinned = _pinned(case for case, _ in REUSE if case is not None)
+    assert len({entry["sha256"] for entry in pinned.values()}) == len(pinned)
+    for case, argv in REUSE:
+        if case is None:
+            with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        else:
+            assert _run(argv) == pinned[case], case
+    assert _build_parser() is _build_parser()
+
+
 def _record() -> None:
     golden: dict[str, dict] = {}
     cwd = os.getcwd()
