@@ -95,6 +95,24 @@ class _Compiled:
         return sorted(keyed, key=lambda item: item[0])
 
 
+# The last record handed out, as one (gamma, universe, record) tuple.  It is
+# reused only for the very same gamma and universe objects, so the logics of
+# one request share it and no request is answered from another's data; a
+# concurrent caller at worst compiles again.
+_last_compiled: Optional[tuple[InformationSet, AtomUniverse, _Compiled]] = None
+
+
+def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
+    """``gamma`` compiled over ``universe``, shared with the previous call."""
+    global _last_compiled
+    last = _last_compiled
+    if last is not None and last[0] is gamma and last[1] is universe:
+        return last[2]
+    record = _Compiled(gamma, universe)
+    _last_compiled = (gamma, universe, record)
+    return record
+
+
 # A rule maps (compiled gamma, is the query a belief, query mask) to the
 # rationale of an entailment, or None.  wbd/gbd/bd share the belief branch.
 
@@ -173,7 +191,7 @@ def _decide(
 ) -> Verdict:
     u = universe if universe is not None else universe_for(gamma, alpha)
     belief = isinstance(alpha, Belief)
-    rationale = _RULES[logic](_Compiled(gamma, u), belief, models_of(alpha.body, u))
+    rationale = _RULES[logic](_compiled(gamma, u), belief, models_of(alpha.body, u))
     return Verdict(
         logic=logic, query=alpha, entailed=rationale is not None, rationale=rationale
     )
@@ -290,7 +308,7 @@ def inconsistency_report(
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
     u = universe if universe is not None else universe_for(gamma)
     rule = _RULES[logic]
-    compiled = _Compiled(gamma, u)
+    compiled = _compiled(gamma, u)
     # D: true, whose mask is the full one
     d_inconsistent = rule(compiled, False, u.full_mask) is not None
     projection = _Compiled(InformationSet(frozenset(gamma.disbeliefs)), u)

@@ -31,6 +31,8 @@ from bdlogic import (
     parse_information_set,
     parse_sentence,
 )
+from bdlogic import decision
+from bdlogic.cli import main
 
 from conftest import information_sets, sentences
 
@@ -282,3 +284,46 @@ class TestInconsistencyReport:
         assert inconsistency_report("bd", gamma).combined_inconsistent == decide(
             "bd", gamma, Disbelief(Top())
         ).entailed
+
+
+class TestCompileOnce:
+    """The logics of one request share one compiled gamma, keyed by identity."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        records = []
+
+        class Counting(decision._Compiled):
+            def __init__(self, gamma, universe):
+                records.append(gamma)
+                super().__init__(gamma, universe)
+
+        monkeypatch.setattr(decision, "_Compiled", Counting)
+        monkeypatch.setattr(decision, "_last_compiled", None)
+        return records
+
+    def test_check_all_compiles_gamma_once(self, built, tmp_path):
+        doc = tmp_path / "murder.bdl"
+        doc.write_text("B: s\nB: k -> m\nD: s & m\n")
+        main(["check", str(doc), "--query", "D: k", "--logic", "all"])
+        assert built == [MURDER]
+
+    def test_consistency_all_compiles_gamma_once(self, built, tmp_path):
+        doc = tmp_path / "murder.bdl"
+        doc.write_text("B: s\nB: k -> m\nD: s & m\n")
+        main(["consistency", str(doc), "--logic", "all"])
+        projection = InformationSet(frozenset(MURDER.disbeliefs))
+        assert built == [MURDER] + [projection] * len(LOGICS)
+
+    def test_equal_documents_parsed_apart_compile_apart(self, built):
+        text = "B: k -> m\nD: m\nD: k & !m"
+        first, second = parse_information_set(text), parse_information_set(text)
+        assert first == second and first is not second
+        query = parse_sentence("D: k")
+        u = AtomUniverse(("k", "m"))
+        for gamma in (first, second, first):
+            decide("bd", gamma, query, u)
+        assert len(built) == 3
+        decide("bd", first, query, u)
+        decide("bd", first, query, AtomUniverse(("k", "m")))
+        assert len(built) == 4
