@@ -193,26 +193,42 @@ class InformationSet:
         # the set is immutable, so it is sorted (and rendered) once
         return tuple(sorted(self.sentences, key=_sentence_sort_key))
 
+    @cached_property
+    def _split(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+        """The projections below, in their order, built once from ``_ordered``."""
+        beliefs = tuple(s for s in self._ordered if isinstance(s, Belief))
+        disbeliefs = tuple(s for s in self._ordered if isinstance(s, Disbelief))
+        disbelief_bodies = tuple(s.body for s in disbeliefs)
+        return (
+            beliefs,
+            disbeliefs,
+            tuple(s.body for s in beliefs),
+            disbelief_bodies,
+            tuple(Not(b) for b in disbelief_bodies),
+        )
+
+    # plain properties over the one split: the benchmark's tracer wraps
+    # these by name, which it cannot do to a cached_property
     @property
     def beliefs(self) -> tuple[Belief, ...]:
-        return tuple(s for s in self._ordered if isinstance(s, Belief))
+        return self._split[0]
 
     @property
     def disbeliefs(self) -> tuple[Disbelief, ...]:
-        return tuple(s for s in self._ordered if isinstance(s, Disbelief))
+        return self._split[1]
 
     @property
     def belief_bodies(self) -> tuple[Formula, ...]:
-        return tuple(s.body for s in self.beliefs)
+        return self._split[2]
 
     @property
     def disbelief_bodies(self) -> tuple[Formula, ...]:
-        return tuple(s.body for s in self.disbeliefs)
+        return self._split[3]
 
     @property
     def dual_bodies(self) -> tuple[Formula, ...]:
         """Negations of the disbelieved formulas (the dual projection)."""
-        return tuple(Not(b) for b in self.disbelief_bodies)
+        return self._split[4]
 
     def union(self, other: Iterable[Sentence]) -> "InformationSet":
         return InformationSet(self.sentences | frozenset(other))

@@ -159,6 +159,7 @@ class TestDocuments:
         assert tuple(iset) == want
         assert iset.beliefs + iset.disbeliefs == want
         assert iset.disbelief_bodies == tuple(s.body for s in want[3:])
+        assert iset.dual_bodies is iset.dual_bodies
         assert len(renders) == len(iset)
 
 
