@@ -14,20 +14,28 @@ range over everything derived so far, giving the usual recursive reading.
 
 ``DPrime``/``BPrime`` premises speak about *augmented* sets ("the set plus
 one more sentence derives ..."), so the engine maintains a family of
-reachable sets and runs one chaotic iteration over the whole family until
-nothing changes anywhere: a joint least fixed point.  All rule premises are
-monotone in the derived sets, so the iteration converges, and every state
-only ever grows.  When rule ``B`` is present (every rule set of interest),
-a set's derivation under the derivability reading is a function of the
-conjunction of its seed beliefs plus its seed disbelief classes, which
-keys the family and keeps it small.
+reachable sets and iterates over the whole family until nothing changes
+anywhere: a joint least fixed point.  All rule premises are monotone in the
+derived sets, so the iteration converges, and every state only ever grows.
+Each round walks the family in insertion order but applies the rules only
+to a *dirty* set: one that is new, that grew, or that has looked up an
+augmented set which grew since the set was last applied.  A clean set would
+read the same inputs, look up the same augmented sets (memo hits, so nothing
+is registered) and derive nothing new, so skipping it changes nothing: the
+fixed point, the family, its order and where the family cap trips are those
+of applying every set in every round.
+
+When rule ``B`` is present (every rule set of interest), a set's derivation
+under the derivability reading is a function of the conjunction of its seed
+beliefs plus its seed disbelief classes, which keys the family and keeps it
+small.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Literal, Union
 
@@ -150,14 +158,21 @@ def build_universe(n: int, atoms: Iterable[str] | None = None) -> ClosureUnivers
 _MAX_FAMILY = 4096
 
 
-@dataclass
+@dataclass(eq=False)
 class _SetState:
-    """One set of the family; each field is a set of classes."""
+    """One set of the family; the first four fields are sets of classes.
+
+    ``dirty`` says the rules must be applied to the set again; ``readers``
+    are the sets whose ``DPrime``/``BPrime`` premises looked this one up,
+    and so must be applied again when it grows.
+    """
 
     seed_beliefs: int
     seed_disbeliefs: int
     beliefs: int
     disbeliefs: int
+    dirty: bool = True
+    readers: set[_SetState] = field(default_factory=set, repr=False)
 
 
 class _Engine:
@@ -191,12 +206,14 @@ class _Engine:
         seeds = (sb, sd)
         if seeds in self._seeded:
             return self._seeded[seeds]
+        key_b = self._conj(sb) if self._by_conj else sb
         if self._canonical_seeds and sd:
-            conj, up = self._conj(sb), self.cu.up
-            r = _union(1 << (conj & psi) for psi in _members(sd))
+            # canonical seeds imply keying by the conjunction, so key_b is it
+            up = self.cu.up
+            r = _union(1 << (key_b & psi) for psi in _members(sd))
             # keep the restricted seeds r that no other one contains
             sd = _union(1 << p for p in _members(r) if up[p] & r == 1 << p)
-        key = (self._conj(sb) if self._by_conj else sb, sd)
+        key = (key_b, sd)
         state = self.family.get(key)
         if state is None:
             if len(self.family) >= _MAX_FAMILY:
@@ -214,13 +231,15 @@ class _Engine:
             size = len(self.family)
             changed = False
             for state in list(self.family.values()):
-                changed |= self._apply(state)
+                if state.dirty:
+                    changed |= self._apply(state)
             # a freshly registered set counts as progress even when nothing
             # grew this round: it still has to be processed at least once
             if not changed and len(self.family) == size:
                 return
 
     def _apply(self, state: _SetState) -> bool:
+        state.dirty = False
         rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
@@ -248,6 +267,7 @@ class _Engine:
                     child = self.register(
                         state.seed_beliefs | 1 << c, state.seed_disbeliefs
                     )
+                    child.readers.add(state)
                     if child.beliefs & dis_src:
                         add_d |= 1 << c
         if Rule.BPrime in rules:
@@ -260,13 +280,18 @@ class _Engine:
                     child = self.register(
                         state.seed_beliefs, state.seed_disbeliefs | 1 << c
                     )
+                    child.readers.add(state)
                     if child.disbeliefs & bel_src:
                         add_b |= 1 << c
 
-        grew = bool(add_b & ~state.beliefs or add_d & ~state.disbeliefs)
+        if not (add_b & ~state.beliefs or add_d & ~state.disbeliefs):
+            return False
         state.beliefs |= add_b
         state.disbeliefs |= add_d
-        return grew
+        state.dirty = True
+        for reader in state.readers:
+            reader.dirty = True
+        return True
 
 
 def _close_bits(

@@ -94,6 +94,31 @@ class _Compiled:
         keyed = [(models_of(body, u), body) for body in self.gamma.disbelief_bodies]
         return sorted(keyed, key=lambda item: item[0])
 
+    @cached_property
+    def projection(self) -> _Projection:
+        """The record of ``gamma``'s disbelief projection."""
+        return _Projection(self)
+
+
+class _Projection:
+    """The disbelief projection of a compiled ``gamma``, as the rules read it.
+
+    It has no beliefs and the same disbeliefs, so it reads ``witnesses`` and
+    ``dual`` from ``gamma``'s record instead of evaluating them again.
+    """
+
+    def __init__(self, whole: _Compiled):
+        self.whole = whole
+        self.beliefs = whole.universe.full_mask
+
+    @property
+    def dual(self) -> int:
+        return self.whole.dual
+
+    @property
+    def witnesses(self) -> list[tuple[int, Formula]]:
+        return self.whole.witnesses
+
 
 # The last record handed out, as one (gamma, universe, record) tuple.  It is
 # reused only for the very same gamma and universe objects, so the logics of
@@ -311,8 +336,8 @@ def inconsistency_report(
     compiled = _compiled(gamma, u)
     # D: true, whose mask is the full one
     d_inconsistent = rule(compiled, False, u.full_mask) is not None
-    projection = _Compiled(InformationSet(frozenset(gamma.disbeliefs)), u)
-    d_literal = rule(projection, False, u.full_mask) is not None
+    projection = compiled.projection
+    d_literal = rule(projection, False, u.full_mask) is not None  # type: ignore[arg-type]
     witness = _combined_witness(logic, compiled)
     return InconsistencyReport(
         logic=logic,

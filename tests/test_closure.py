@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
@@ -363,3 +364,197 @@ def test_family_guard_trips_on_pinned_inputs(cu1, cu2, monkeypatch):
     assert trips == FAMILY_TRIPS
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == FAMILY_TRIPS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Skipping clean sets against applying every set in every round
+
+
+class _RoundRobinEngine(closure_mod._Engine):
+    """The reference: every round applies the rules to every set of the
+    family, as the engine did before it tracked dirty sets and readers.
+    Registration is the engine's own."""
+
+    applied = 0
+
+    def run(self) -> None:
+        while True:
+            size = len(self.family)
+            changed = False
+            for state in list(self.family.values()):
+                changed |= self._apply(state)
+            if not changed and len(self.family) == size:
+                return
+
+    def _apply(self, state) -> bool:
+        self.applied += 1
+        rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
+        members, union = closure_mod._members, closure_mod._union
+        bel_src = state.seed_beliefs if self.membership else state.beliefs
+        dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
+        conj = self._conj(bel_src)
+        add_b = up[conj] if Rule.B in rules else 0
+        add_d = 1 if Rule.DBot in rules else 0
+        if Rule.WD in rules:
+            add_d |= union(down[psi] for psi in members(dis_src))
+        if Rule.GD in rules:
+            add_d |= down[union(members(dis_src))]
+        if Rule.D in rules:
+            add_d |= union(down[psi | full & ~conj] for psi in members(dis_src))
+        if Rule.DtoB in rules:
+            add_b |= union(1 << (full & ~psi) for psi in members(dis_src))
+        if Rule.DPrime in rules:
+            if self.membership:
+                add_d |= self.every if dis_src & state.seed_beliefs else dis_src
+            elif dis_src:
+                for c in members(self.every & ~(state.disbeliefs | add_d)):
+                    child = self.register(
+                        state.seed_beliefs | 1 << c, state.seed_disbeliefs
+                    )
+                    if child.beliefs & dis_src:
+                        add_d |= 1 << c
+        if Rule.BPrime in rules:
+            if self.membership:
+                add_b |= self.every if bel_src & state.seed_disbeliefs else bel_src
+            elif bel_src:
+                for c in members(self.every & ~(state.beliefs | add_b)):
+                    child = self.register(
+                        state.seed_beliefs, state.seed_disbeliefs | 1 << c
+                    )
+                    if child.disbeliefs & bel_src:
+                        add_b |= 1 << c
+        grew = bool(add_b & ~state.beliefs or add_d & ~state.disbeliefs)
+        state.beliefs |= add_b
+        state.disbeliefs |= add_d
+        return grew
+
+
+class _CountingEngine(closure_mod._Engine):
+    applied = 0
+
+    def _apply(self, state) -> bool:
+        self.applied += 1
+        return super()._apply(state)
+
+
+def _seed_masks(gamma, cu) -> tuple[int, int]:
+    u, union = cu.universe, closure_mod._union
+    return (
+        union(1 << models_of(b, u) for b in gamma.belief_bodies),
+        union(1 << models_of(b, u) for b in gamma.disbelief_bodies),
+    )
+
+
+def _engine_outcome(engine_cls, rules, reading, gamma, cu):
+    """(closure bits or "ClosureScaleError", family keys in order, applications)."""
+    engine = engine_cls(rules, reading, cu)
+    try:
+        top = engine.register(*_seed_masks(gamma, cu))
+        engine.run()
+        derived = top.beliefs | top.disbeliefs << len(cu.classes)
+    except ClosureScaleError:
+        derived = "ClosureScaleError"
+    return derived, list(engine.family), engine.applied
+
+
+ALL_RULE_SETS = {**RULE_SETS, **AUGMENTED_RULE_SETS}
+
+
+def test_skipping_clean_sets_matches_the_round_robin(cu1, cu2, monkeypatch):
+    inputs = _pinned_inputs(cu1, cu2)
+    applied: dict[str, list[int]] = {"reference": [], "engine": []}
+    for cap in (None, 4, 16, 64):
+        if cap is not None:
+            monkeypatch.setattr(closure_mod, "_MAX_FAMILY", cap)
+        for name, rules in ALL_RULE_SETS.items():
+            for reading in ("membership", "derivability"):
+                for cu, gamma in inputs:
+                    want = _engine_outcome(_RoundRobinEngine, rules, reading, gamma, cu)
+                    got = _engine_outcome(_CountingEngine, rules, reading, gamma, cu)
+                    # closure bits (or the trip) and the family in key order
+                    assert got[:2] == want[:2], (cap, name, reading, _render_set(gamma))
+                    assert got[2] <= want[2]
+                    if cap is None and name == "bd+bprime" and reading == "derivability":
+                        applied["reference"].append(want[2])
+                        applied["engine"].append(got[2])
+    assert sum(applied["engine"]) < sum(applied["reference"])
+
+
+# Rule sets, with the family cap each is checked under.  Under bd+bprime a
+# BPrime child's answer is fixed by its seeds, so only a set whose BPrime
+# children keep growing after they are first read (gbd's GD with BPrime)
+# shows a reader that was never recorded.  Its families run into the
+# thousands, so it is checked under a small cap.
+SKIP_CHECKED_RULE_SETS = {
+    "bd+bprime": (AUGMENTED_RULE_SETS["bd+bprime"], closure_mod._MAX_FAMILY),
+    "dprime": (AUGMENTED_RULE_SETS["dprime"], closure_mod._MAX_FAMILY),
+    "gbd+bprime": (RULE_SETS["gbd"] | {Rule.BPrime}, 64),
+}
+
+
+def _checking_skips(real_run, skipped_counts: list[int]):
+    """A ``run`` that checks every set a round skips, before the round moves on.
+
+    Each skipped set is applied to a deep copy of the engine as it stands at
+    that point of the round; that must neither grow the set nor add a
+    family key.  The copy shares the (read-only) closure universe.
+    """
+
+    def check(engine, skipped) -> None:
+        if not skipped:
+            return
+        memo = {id(engine.cu): engine.cu}
+        twin = copy.deepcopy(engine, memo)
+        keys = list(twin.family)
+        for state in skipped:
+            assert not state.dirty
+            twin_state = memo[id(state)]
+            before = (twin_state.beliefs, twin_state.disbeliefs)
+            assert not closure_mod._Engine._apply(twin, twin_state)
+            assert (twin_state.beliefs, twin_state.disbeliefs) == before
+            assert list(twin.family) == keys
+        skipped_counts.append(len(skipped))
+
+    def run(engine) -> None:
+        real_apply = engine._apply
+        # index of the last set applied, and the length of the round's walk
+        window = [-1, len(engine.family)]
+
+        def apply(state):
+            states = list(engine.family.values())
+            i = next(k for k, s in enumerate(states) if s is state)
+            last, end = window
+            if i <= last or i >= end:  # a new round: its walk is the family now
+                check(engine, states[last + 1:end] + states[:i])
+                window[:] = [i, len(states)]
+            else:
+                check(engine, states[last + 1:i])
+                window[0] = i
+            return real_apply(state)
+
+        engine._apply = apply
+        real_run(engine)
+        last, end = window
+        check(engine, list(engine.family.values())[last + 1:end])
+        assert not any(state.dirty for state in engine.family.values())
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CHECKED_RULE_SETS))
+def test_a_skipped_application_would_do_nothing(cu1, cu2, monkeypatch, name):
+    skipped_counts: list[int] = []
+    monkeypatch.setattr(
+        closure_mod._Engine,
+        "run",
+        _checking_skips(closure_mod._Engine.run, skipped_counts),
+    )
+    rules, cap = SKIP_CHECKED_RULE_SETS[name]
+    monkeypatch.setattr(closure_mod, "_MAX_FAMILY", cap)
+    for cu, gamma in _pinned_inputs(cu1, cu2):
+        if cu is cu2:
+            try:
+                close(rules, "derivability", gamma, cu)
+            except ClosureScaleError:
+                pass  # every set skipped before the trip was still checked
+    assert sum(skipped_counts) > 0

@@ -312,8 +312,8 @@ class TestCompileOnce:
         doc = tmp_path / "murder.bdl"
         doc.write_text("B: s\nB: k -> m\nD: s & m\n")
         main(["consistency", str(doc), "--logic", "all"])
-        projection = InformationSet(frozenset(MURDER.disbeliefs))
-        assert built == [MURDER] + [projection] * len(LOGICS)
+        # the disbelief projections read gamma's record
+        assert built == [MURDER]
 
     def test_equal_documents_parsed_apart_compile_apart(self, built):
         text = "B: k -> m\nD: m\nD: k & !m"
@@ -327,3 +327,51 @@ class TestCompileOnce:
         decide("bd", first, query, u)
         decide("bd", first, query, AtomUniverse(("k", "m")))
         assert len(built) == 4
+
+
+class TestDisbeliefProjection:
+    """``inconsistency_report`` reads the projection off gamma's record."""
+
+    def test_consistency_all_evaluates_each_body_once(self, monkeypatch, tmp_path):
+        evaluated = []
+
+        def counted(real, many):
+            def wrapper(bodies, universe):
+                bodies = tuple(bodies) if many else (bodies,)
+                evaluated.extend(bodies)
+                return real(bodies if many else bodies[0], universe)
+
+            return wrapper
+
+        monkeypatch.setattr(decision, "models_of", counted(models_of, False))
+        monkeypatch.setattr(
+            decision, "conjunction_mask", counted(conjunction_mask, True)
+        )
+        monkeypatch.setattr(decision, "_last_compiled", None)
+        doc = tmp_path / "two-three.bdl"
+        doc.write_text("B: p\nB: q -> r\nD: p & r\nD: q\nD: !r\n")
+        main(["consistency", str(doc), "--logic", "all"])
+        # gamma's beliefs (2), witnesses (3) and negated disbeliefs (3), once
+        # each; compiling the projection apart for each logic made it 20
+        assert len(evaluated) == 8
+
+    def test_reports_equal_a_projection_compiled_apart(self, cu1, cu2):
+        # the literal flag is the only field the projection decides
+        sentences = cu1.sentences
+        gammas = [
+            (cu1.universe, InformationSet(
+                frozenset(s for i, s in enumerate(sentences) if k >> i & 1)
+            ))
+            for k in range(256)
+        ]
+        gammas += [
+            (cu2.universe, parse_information_set(text))
+            for text in ("B: p\nD: p", "D: p\nD: !p", "B: p | q\nD: p & q\nD: q",
+                         "B: q\nD: q\nD: !p", "D: p & !p", "B: p\nB: !q\nD: p & q")
+        ]
+        for u, gamma in gammas:
+            apart = decision._Compiled(InformationSet(frozenset(gamma.disbeliefs)), u)
+            for logic in LOGICS:
+                rep = inconsistency_report(logic, gamma, u)
+                literal = decision._RULES[logic](apart, False, u.full_mask) is not None
+                assert rep.d_inconsistent_literal == literal, (logic, gamma)
