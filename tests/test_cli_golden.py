@@ -3,7 +3,10 @@
 Every fixture document and one 16-atom document are run through
 ``check`` (every query below, every logic and ``all``, with and without
 ``--countermodel``; the 16-atom document without it) and ``consistency``
-(every logic and ``all``).  The small documents of ``SLICES`` are run
+(every logic and ``all``), once with ``--json`` and once as text.  An
+8-ticket lottery is run through ``check --countermodel`` for the largest
+pinned countermodels (256 valuations each), in both formats under ``all``
+and ``bd``.  The small documents of ``SLICES`` are run
 through ``consequences`` (every logic) and ``closure`` (every logic and
 reading), each with and without the ``--atoms`` padding listed; ``meta``
 runs once, at seed 0 and quick scale.  Each run's exit code and the
@@ -45,6 +48,17 @@ DOCUMENTS = {
     "wide16": (WIDE, ["B: h | p", "B: p", "D: p & !c", "D: a & !p", "D: !a & !h & p", "D: true"]),
 }
 LOGIC_ARGS = LOGICS + ("all",)
+# argv tail and case-id suffix per output format; JSON ids carry no suffix
+FORMATS = {"json": (["--json"], ""), "text": ([], " (text)")}
+
+LOTTERY8 = FIXTURES["lottery"](8).document
+LOTTERY8_CASES = {
+    f"lottery8 check {lg} B: t1 --countermodel{suffix}": [
+        "check", "lottery8.bdl", "--query", "B: t1", "--logic", lg, "--countermodel", *tail
+    ]
+    for lg in ("all", "bd")
+    for tail, suffix in FORMATS.values()
+}
 
 # documents of at most two atoms, for the class-enumerating subcommands:
 # name -> (document, the --atoms paddings to run besides none)
@@ -58,9 +72,10 @@ META_CASE = "meta seed 0 quick"
 META_ARGV = ["meta", "--seed", "0", "--scale", "quick", "--json"]
 
 
-def _cases(name: str, command: str) -> dict[str, list[str]]:
-    """Case id -> argv for one document and subcommand."""
+def _cases(name: str, command: str, fmt: str = "json") -> dict[str, list[str]]:
+    """Case id -> argv for one document, subcommand and output format."""
     path = f"{name}.bdl"
+    tail, suffix = FORMATS[fmt]
     if command in ("consequences", "closure"):
         readings = READINGS if command == "closure" else [None]
         return {
@@ -74,13 +89,13 @@ def _cases(name: str, command: str) -> dict[str, list[str]]:
         }
     if command == "consistency":
         return {
-            f"{name} consistency {lg}": ["consistency", path, "--logic", lg, "--json"]
+            f"{name} consistency {lg}{suffix}": ["consistency", path, "--logic", lg, *tail]
             for lg in LOGIC_ARGS
         }
     flags = [[]] if name == "wide16" else [[], ["--countermodel"]]
     return {
-        " ".join([name, "check", lg, query, *extra]): [
-            "check", path, "--query", query, "--logic", lg, "--json", *extra
+        " ".join([name, "check", lg, query, *extra]) + suffix: [
+            "check", path, "--query", query, "--logic", lg, *tail, *extra
         ]
         for query in DOCUMENTS[name][1]
         for lg in LOGIC_ARGS
@@ -96,10 +111,15 @@ def _run(argv: list[str]) -> dict:
     return {"exit": code, "sha256": digest}
 
 
-def _run_all(name: str, command: str, directory: Path) -> dict[str, dict]:
+def _run_all(name: str, command: str, directory: Path, fmt: str = "json") -> dict[str, dict]:
     documents = SLICES if command in ("consequences", "closure") else DOCUMENTS
     (directory / f"{name}.bdl").write_text(documents[name][0], encoding="utf-8")
-    return {case: _run(argv) for case, argv in _cases(name, command).items()}
+    return {case: _run(argv) for case, argv in _cases(name, command, fmt).items()}
+
+
+def _run_lottery8(directory: Path) -> dict[str, dict]:
+    (directory / "lottery8.bdl").write_text(LOTTERY8, encoding="utf-8")
+    return {case: _run(argv) for case, argv in LOTTERY8_CASES.items()}
 
 
 def _pinned(cases) -> dict[str, dict]:
@@ -113,6 +133,19 @@ def test_json_output_is_byte_identical(name, command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = _run_all(name, command, tmp_path)
     assert got == _pinned(_cases(name, command))
+
+
+@pytest.mark.parametrize("command", ["check", "consistency"])
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_text_output_is_byte_identical(name, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = _run_all(name, command, tmp_path, "text")
+    assert got == _pinned(_cases(name, command, "text"))
+
+
+def test_eight_atom_countermodels_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_lottery8(tmp_path) == _pinned(LOTTERY8_CASES)
 
 
 @pytest.mark.parametrize("command", ["consequences", "closure"])
@@ -175,7 +208,9 @@ def _record() -> None:
         try:
             for name in sorted(DOCUMENTS):
                 for command in ("check", "consistency"):
-                    golden.update(_run_all(name, command, Path(tmp)))
+                    for fmt in FORMATS:
+                        golden.update(_run_all(name, command, Path(tmp), fmt))
+            golden.update(_run_lottery8(Path(tmp)))
             for name in sorted(SLICES):
                 for command in ("consequences", "closure"):
                     golden.update(_run_all(name, command, Path(tmp)))
