@@ -12,14 +12,15 @@ Six subcommands over `.bdl` documents::
 Exit codes: 0 when the asked-for property holds (entailed / consistent /
 all checks pass), 1 when it does not, 2 on input errors or scale guards
 (including input nested too deeply to process).
-JSON payloads all carry ``"schema": 1`` and are emitted with sorted keys.
+JSON payloads all carry ``"schema": 1`` and are emitted with sorted keys,
+two-space indent and ``\\uXXXX`` escapes: the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -37,6 +38,7 @@ from .decision import (
     inconsistency_report,
 )
 from .fixtures import FIXTURES, evaluate
+from .jsontext import dumps
 from .metatheory import run_suite
 from .plcore import AtomLimitError, AtomUniverse, universe_for
 from .semantics import ScaleLimitError, model_to_dict, render_model
@@ -134,7 +136,7 @@ def _input_block(gamma: InformationSet, source: str) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +183,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for v in verdicts:
             print(v.render())
             if v.witness is not None:
-                print("  countermodel:")
-                for line in render_model(v.witness).splitlines():
-                    print(f"    {line}")
+                block = render_model(v.witness).replace("\n", "\n    ")
+                print(f"  countermodel:\n    {block}")
     return 0 if all(v.entailed for v in verdicts) else 1
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .closure import (
 )
 from .decision import consequences, decide, inconsistency_report
 from .fixtures import agnostic, evaluate, lottery
+from .jsontext import dumps
 from .plcore import AtomUniverse, models_of
 from .semantics import (
     ModelBD,
@@ -161,7 +161,7 @@ class PropertyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.canonical_dict(), indent=2, sort_keys=True)
+        return dumps(self.canonical_dict())
 
 
 class _Ctx:

@@ -430,20 +430,19 @@ def _world_names(mask: int) -> str:
 
 def render_model(model: Model) -> str:
     """Human-readable model: world sets by name, plus a valuation legend."""
-    universe = model.universe
-    lines = []
     if isinstance(model, ModelGBD):
-        lines.append(f"M = {_world_names(model.m)}; N = {_world_names(model.n)}")
+        head = f"M = {_world_names(model.m)}; N = {_world_names(model.n)}"
     else:
         members = ", ".join(_world_names(x) for x in sorted(model.family))
-        lines.append(f"M = {_world_names(model.m)}; N = {{{members}}}")
-    for v in range(universe.world_count):
-        assignment = ", ".join(
-            f"{name}={'true' if value else 'false'}"
-            for name, value in universe.valuation(v).items()
-        )
-        lines.append(f"  v{v}: {assignment if assignment else '(no atoms)'}")
-    return "\n".join(lines)
+        head = f"M = {_world_names(model.m)}; N = {{{members}}}"
+    # valuation v's assignment, by doubling: v and v + 2^k agree below atom k
+    assignments = [""]
+    for k, name in enumerate(model.universe.atoms):
+        sep = ", " if k else ""
+        false, true = f"{sep}{name}=false", f"{sep}{name}=true"
+        assignments = [a + false for a in assignments] + [a + true for a in assignments]
+    legend = [f"  v{v}: {a or '(no atoms)'}" for v, a in enumerate(assignments)]
+    return "\n".join([head, *legend])
 
 
 def _world_list(mask: int) -> list[int]:
@@ -452,12 +451,15 @@ def _world_list(mask: int) -> list[int]:
 
 def model_to_dict(model: Model) -> dict:
     universe = model.universe
+    # valuation v's assignment, by doubling as in render_model
+    valuations: list[dict[str, bool]] = [{}]
+    for name in universe.atoms:
+        false, true = {name: False}, {name: True}
+        valuations = [a | false for a in valuations] + [a | true for a in valuations]
     payload: dict = {
         "atoms": list(universe.atoms),
         "m": _world_list(model.m),
-        "valuations": {
-            f"v{v}": universe.valuation(v) for v in range(universe.world_count)
-        },
+        "valuations": {f"v{v}": a for v, a in enumerate(valuations)},
     }
     if isinstance(model, ModelGBD):
         payload["type"] = "gbd"
