@@ -15,12 +15,15 @@ from __future__ import annotations
 import functools
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any
 
 __all__ = ["dumps"]
 
 _INDENT = "  "
 _CONTAINERS = (dict, list, tuple)
-# exactly these types encode alike in the C and the pure-Python encoder
+# a container whose values all have exactly these types is encoded whole by
+# the C encoder; a subclass fails the test, so no dict or list subclass and
+# no nested container reaches it
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -46,7 +49,7 @@ def _level(depth: int):
         None,  # no circular check: only flat containers reach it
         _reject,
         encode_basestring_ascii,
-        None,
+        None,  # indent: the separator carries it
         ": ",
         separator,
         True,  # sort_keys
@@ -56,11 +59,11 @@ def _level(depth: int):
     return encoder, pad, separator, "\n" + _INDENT * (depth - 1)
 
 
-def _dump(obj: object, depth: int) -> str:
+def _dump(obj: Any, depth: int) -> str:
     """``obj`` as it appears on a line indented ``depth`` levels."""
     kind = type(obj)
     if kind is dict:
-        values = obj.values()  # type: ignore[attr-defined]
+        values = obj.values()
     elif kind is list or kind is tuple:
         values = obj
     elif kind is str:
@@ -79,10 +82,10 @@ def _dump(obj: object, depth: int) -> str:
         # a key that is not a str makes encode_basestring_ascii raise TypeError
         items = [
             f"{encode_basestring_ascii(key)}: {_dump(value, depth + 1)}"
-            for key, value in sorted(obj.items())  # type: ignore[attr-defined]
+            for key, value in sorted(obj.items())
         ]
         return f"{{{pad}{separator.join(items)}{close}}}"
-    return f"[{pad}{separator.join([_dump(v, depth + 1) for v in obj])}{close}]"  # type: ignore[attr-defined]
+    return f"[{pad}{separator.join([_dump(v, depth + 1) for v in obj])}{close}]"
 
 
 def dumps(obj: object) -> str:

@@ -33,10 +33,10 @@ def _assert_same(value):
 
 
 # text with newlines, control characters, quotes, backslashes and non-ASCII
-# (including astral characters, written as surrogate pairs)
+# (U+2028, astral characters, written as surrogate pairs, and a lone surrogate)
 TEXT = st.text(
     st.one_of(
-        st.sampled_from("\n\r\t\x00\x1f\x7f\"\\/ é€ä \U0001f600"),
+        st.sampled_from("\n\r\t\x00\x1f\x7f\"\\/ é€ä\u2028\U0001f600\ud800"),
         st.characters(),
     ),
     max_size=8,

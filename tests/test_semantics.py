@@ -384,3 +384,20 @@ def test_render_and_dict_are_consistent(u1):
     assert data["m"] == [0, 1]
     assert data["family"] == [[0]]
     assert "v0" in text and "v1" in text
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_valuation_tables_match_each_valuation(n):
+    # the tables are built by doubling; universe.valuation(v) is the reference
+    universe = AtomUniverse("abcdefghij"[:n])
+    model = ModelGBD(0, 0, universe)
+    reference = {f"v{v}": universe.valuation(v) for v in range(universe.world_count)}
+    valuations = model_to_dict(model)["valuations"]
+    assert valuations == reference
+    assert [list(a) for a in valuations.values()] == [list(a) for a in reference.values()]
+    legend = [
+        f"  v{v}: "
+        + (", ".join(f"{k}={str(b).lower()}" for k, b in a.items()) or "(no atoms)")
+        for v, a in enumerate(reference.values())
+    ]
+    assert render_model(model).split("\n") == ["M = {}; N = {}", *legend]
