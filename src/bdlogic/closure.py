@@ -20,15 +20,20 @@ derived sets, so the iteration converges, and every state only ever grows.
 Each round walks the family in insertion order but applies the rules only
 to a *dirty* set: one that is new, that grew, or that has looked up an
 augmented set which grew since the set was last applied.  A clean set would
-read the same inputs, look up the same augmented sets (memo hits, so nothing
-is registered) and derive nothing new, so skipping it changes nothing: the
+read the same inputs, look up the same augmented sets (through its links, so
+nothing is added) and derive nothing new, so skipping it changes nothing: the
 fixed point, the family, its order and where the family cap trips are those
 of applying every set in every round.
 
 When rule ``B`` is present (every rule set of interest), a set's derivation
 under the derivability reading is a function of the conjunction of its seed
 beliefs plus its seed disbelief classes, which keys the family and keeps it
-small.
+small.  Only the top set is keyed from its raw seeds.  An augmented set's key
+comes from its parent's: ``B: c`` narrows the conjunction to ``c``, and
+``D: c`` adds one class to the disbelief seeds (on canonical seeds, ``c``
+within the conjunction, unless a seed contains it already).  The parent keeps
+a link from the added sentence to that key, so a repeat visit is a dict
+lookup.
 """
 
 from __future__ import annotations
@@ -99,9 +104,10 @@ class ClosureUniverse:
 
     A set of classes is an int, bit ``c`` standing for class ``c``; ``up[x]``
     and ``down[x]`` are the sets of classes that contain and that lie in ``x``.
+    ``columns`` pairs each world's bit with the set of classes that lack it.
     """
 
-    __slots__ = ("universe", "classes", "sentences", "up", "down")
+    __slots__ = ("universe", "classes", "sentences", "up", "down", "columns")
 
     def __init__(self, universe: AtomUniverse):
         if universe.n not in (1, 2):
@@ -114,6 +120,7 @@ class ClosureUniverse:
         reps = [formula_for_class(c, universe) for c in self.classes]
         self.sentences = tuple(map(Belief, reps)) + tuple(map(Disbelief, reps))
         self.up, self.down = _subset_tables(universe.n)
+        self.columns = _world_columns(universe.n)
 
     def sentence(self, kind_belief: bool, mask: int) -> Sentence:
         return self.sentences[mask if kind_belief else len(self.classes) + mask]
@@ -129,6 +136,16 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     up = tuple(_union(1 << c for c in classes if x & ~c == 0) for x in classes)
     down = tuple(_union(1 << c for c in classes if c & ~x == 0) for x in classes)
     return up, down
+
+
+@functools.cache
+def _world_columns(n: int) -> tuple[tuple[int, int], ...]:
+    """Per world of ``n`` atoms: its bit, and the set of classes that lack it."""
+    classes = range(1 << (1 << n))
+    return tuple(
+        (1 << w, _union(1 << c for c in classes if not c >> w & 1))
+        for w in range(1 << n)
+    )
 
 
 def _union(sets: Iterable[int]) -> int:
@@ -160,19 +177,25 @@ _MAX_FAMILY = 4096
 
 @dataclass(eq=False)
 class _SetState:
-    """One set of the family; the first four fields are sets of classes.
+    """One set of the family, under its family ``key``.
 
-    ``dirty`` says the rules must be applied to the set again; ``readers``
-    are the sets whose ``DPrime``/``BPrime`` premises looked this one up,
-    and so must be applied again when it grows.
+    The seed, belief and disbelief fields are sets of classes; the seed
+    disbeliefs are the key's second half.  ``dirty`` says the rules must be
+    applied to the set again; ``readers`` are the sets whose
+    ``DPrime``/``BPrime`` premises looked this one up, and so must be
+    applied again when it grows.  ``children`` links the index of an added
+    sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as in
+    ``ClosureUniverse.sentences``) to the key of the set plus that sentence.
     """
 
+    key: tuple[int, int]
     seed_beliefs: int
     seed_disbeliefs: int
     beliefs: int
     disbeliefs: int
     dirty: bool = True
     readers: set[_SetState] = field(default_factory=set, repr=False)
+    children: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
 
 
 class _Engine:
@@ -183,7 +206,6 @@ class _Engine:
         self.full = cu.universe.full_mask
         self.every = (1 << len(cu.classes)) - 1
         self.family: dict[tuple[int, int], _SetState] = {}
-        self._seeded: dict[tuple[int, int], _SetState] = {}
         self._by_conj = not self.membership and Rule.B in rules
         # Disbelief seeds can be canonicalized — restricted to the belief
         # conjunction, dominated seeds dropped — whenever every disbelief
@@ -198,22 +220,50 @@ class _Engine:
         )
 
     def _conj(self, beliefs: int) -> int:
-        """The class of the conjunction of the given belief classes."""
-        return functools.reduce(operator.and_, _members(beliefs), self.full)
+        """The class of the conjunction of the given belief classes: the
+        worlds that no one of them lacks."""
+        conj = 0
+        for world, lacking in self.cu.columns:
+            if not beliefs & lacking:
+                conj |= world
+        return conj
 
-    def register(self, sb: int, sd: int) -> _SetState:
-        # the rules revisit the same augmented seeds round after round
-        seeds = (sb, sd)
-        if seeds in self._seeded:
-            return self._seeded[seeds]
+    def _canonical(self, key_b: int, sd: int) -> int:
+        """The disbelief seeds restricted to ``key_b``, keeping each one that
+        no other restricted seed contains."""
+        up = self.cu.up
+        r = _union(1 << (key_b & psi) for psi in _members(sd))
+        return _union(1 << p for p in _members(r) if up[p] & r == 1 << p)
+
+    def _key(self, sb: int, sd: int) -> tuple[int, int]:
+        """The family key of the raw seeds."""
         key_b = self._conj(sb) if self._by_conj else sb
-        if self._canonical_seeds and sd:
+        if self._canonical_seeds:
             # canonical seeds imply keying by the conjunction, so key_b is it
-            up = self.cu.up
-            r = _union(1 << (key_b & psi) for psi in _members(sd))
-            # keep the restricted seeds r that no other one contains
-            sd = _union(1 << p for p in _members(r) if up[p] & r == 1 << p)
-        key = (key_b, sd)
+            sd = self._canonical(key_b, sd)
+        return key_b, sd
+
+    def _child_key(self, key: tuple[int, int], i: int) -> tuple[int, int]:
+        """The key of the set keyed ``key`` plus ``cu.sentences[i]``: what
+        :meth:`_key` gives for its seeds with that sentence added."""
+        key_b, key_d = key
+        n = len(self.cu.classes)
+        if i < n:  # B: i, which DPrime adds
+            key_b = key_b & i if self._by_conj else key_b | 1 << i
+            if self._canonical_seeds:
+                key_d = self._canonical(key_b, key_d)
+            return key_b, key_d
+        c = i - n  # D: c, which BPrime adds
+        if not self._canonical_seeds:
+            return key_b, key_d | 1 << c
+        p = key_b & c
+        if self.cu.up[p] & key_d:  # a seed already contains p
+            return key
+        return key_b, key_d & ~self.cu.down[p] | 1 << p
+
+    def _state(self, key: tuple[int, int], sb: int) -> _SetState:
+        """The family's set under ``key``, added with raw seed beliefs ``sb``
+        if new."""
         state = self.family.get(key)
         if state is None:
             if len(self.family) >= _MAX_FAMILY:
@@ -221,10 +271,25 @@ class _Engine:
                     f"rule evaluation reached {_MAX_FAMILY} auxiliary sets; "
                     "this rule set does not close tractably"
                 )
-            state = _SetState(sb, sd, sb, sd)
+            state = _SetState(key, sb, key[1], sb, key[1])
             self.family[key] = state
-        self._seeded[seeds] = state
         return state
+
+    def register(self, sb: int, sd: int) -> _SetState:
+        """The family's set for the raw seeds, added if new."""
+        return self._state(self._key(sb, sd), sb)
+
+    def _link(self, state: _SetState, i: int) -> _SetState:
+        """``state`` plus ``cu.sentences[i]``, keyed from ``state``'s key and
+        linked from it."""
+        key = self._child_key(state.key, i)
+        sb = state.seed_beliefs
+        if i < len(self.cu.classes):
+            sb |= 1 << i
+        child = self._state(key, sb)
+        state.children[i] = key
+        child.readers.add(state)
+        return child
 
     def run(self) -> None:
         while True:
@@ -263,11 +328,10 @@ class _Engine:
             elif dis_src:
                 # one augmented set per class: disbelieve c when the set
                 # plus B: c comes to believe something disbelieved
+                links, family = state.children, self.family
                 for c in _members(self.every & ~(state.disbeliefs | add_d)):
-                    child = self.register(
-                        state.seed_beliefs | 1 << c, state.seed_disbeliefs
-                    )
-                    child.readers.add(state)
+                    key = links.get(c)
+                    child = self._link(state, c) if key is None else family[key]
                     if child.beliefs & dis_src:
                         add_d |= 1 << c
         if Rule.BPrime in rules:
@@ -276,11 +340,10 @@ class _Engine:
             elif bel_src:
                 # believe c when the set plus D: c comes to disbelieve
                 # something believed
+                links, family, n = state.children, self.family, len(self.cu.classes)
                 for c in _members(self.every & ~(state.beliefs | add_b)):
-                    child = self.register(
-                        state.seed_beliefs, state.seed_disbeliefs | 1 << c
-                    )
-                    child.readers.add(state)
+                    key = links.get(n + c)
+                    child = self._link(state, n + c) if key is None else family[key]
                     if child.disbeliefs & bel_src:
                         add_b |= 1 << c
 

@@ -273,6 +273,18 @@ class TestEngineLimits:
         assert augmented == close(RULE_SETS["bd"], "derivability", gamma, cu2)
 
 
+def test_seed_conjunction_matches_its_members(cu1, cu2):
+    # the engine reads the conjunction off world columns; the reference
+    # intersects the member classes
+    for cu in (cu1, cu2):
+        engine = closure_mod._Engine(RULE_SETS["bd"], "derivability", cu)
+        for beliefs in range(1 << len(cu.classes)):
+            want = cu.universe.full_mask
+            for c in closure_mod._members(beliefs):
+                want &= c
+            assert engine._conj(beliefs) == want, (cu, beliefs)
+
+
 # Rule sets whose derivability reading builds augmented sets (DPrime's
 # "the set plus f", BPrime's "the set plus D: f"), pinned under both
 # readings on every one-atom set and a seeded sample of two-atom sets.  The
@@ -373,7 +385,8 @@ def test_family_guard_trips_on_pinned_inputs(cu1, cu2, monkeypatch):
 class _RoundRobinEngine(closure_mod._Engine):
     """The reference: every round applies the rules to every set of the
     family, as the engine did before it tracked dirty sets and readers.
-    Registration is the engine's own."""
+    Every child is registered from its raw seeds, so each key is computed
+    afresh, not derived from its parent's key or read from a link."""
 
     applied = 0
 
@@ -459,25 +472,80 @@ def _engine_outcome(engine_cls, rules, reading, gamma, cu):
 
 ALL_RULE_SETS = {**RULE_SETS, **AUGMENTED_RULE_SETS}
 
+# WD, GD and DtoB read the disbelief seeds as given, so with BPrime these
+# key their children by the literal seeds.  Their families run into the
+# thousands, so they are checked under a cap of 64.
+LITERAL_BPRIME_RULE_SETS = {
+    "gbd+bprime": RULE_SETS["gbd"] | {Rule.BPrime},
+    "bn+bprime": RULE_SETS["bn"] | {Rule.BPrime},
+}
+
+
+def _checked_rule_sets(caps):
+    """(cap, name, rules) for every rule set under each cap, then the
+    literal-seed BPrime sets under a cap of 64."""
+    for cap in caps:
+        for name, rules in ALL_RULE_SETS.items():
+            yield cap, name, rules
+    for name, rules in LITERAL_BPRIME_RULE_SETS.items():
+        yield 64, name, rules
+
 
 def test_skipping_clean_sets_matches_the_round_robin(cu1, cu2, monkeypatch):
     inputs = _pinned_inputs(cu1, cu2)
     applied: dict[str, list[int]] = {"reference": [], "engine": []}
-    for cap in (None, 4, 16, 64):
+    for cap, name, rules in _checked_rule_sets((None, 4, 16, 64)):
         if cap is not None:
             monkeypatch.setattr(closure_mod, "_MAX_FAMILY", cap)
-        for name, rules in ALL_RULE_SETS.items():
-            for reading in ("membership", "derivability"):
-                for cu, gamma in inputs:
-                    want = _engine_outcome(_RoundRobinEngine, rules, reading, gamma, cu)
-                    got = _engine_outcome(_CountingEngine, rules, reading, gamma, cu)
-                    # closure bits (or the trip) and the family in key order
-                    assert got[:2] == want[:2], (cap, name, reading, _render_set(gamma))
-                    assert got[2] <= want[2]
-                    if cap is None and name == "bd+bprime" and reading == "derivability":
-                        applied["reference"].append(want[2])
-                        applied["engine"].append(got[2])
+        for reading in ("membership", "derivability"):
+            for cu, gamma in inputs:
+                want = _engine_outcome(_RoundRobinEngine, rules, reading, gamma, cu)
+                got = _engine_outcome(_CountingEngine, rules, reading, gamma, cu)
+                # closure bits (or the trip) and the family in key order
+                assert got[:2] == want[:2], (cap, name, reading, _render_set(gamma))
+                assert got[2] <= want[2]
+                if cap is None and name == "bd+bprime" and reading == "derivability":
+                    applied["reference"].append(want[2])
+                    applied["engine"].append(got[2])
     assert sum(applied["engine"]) < sum(applied["reference"])
+
+
+def _raw_child_seeds(state, i, n):
+    """The raw seeds of ``state`` plus sentence ``i`` (``B: i`` below ``n``,
+    ``D: i - n`` from ``n`` on)."""
+    if i < n:
+        return state.seed_beliefs | 1 << i, state.seed_disbeliefs
+    return state.seed_beliefs, state.seed_disbeliefs | 1 << i - n
+
+
+def test_child_keys_match_the_raw_seed_keys(cu1, cu2, monkeypatch):
+    # every key the engine derives from a parent's key, linked or not, is
+    # the key registering the augmented raw seeds would give
+    inputs = _pinned_inputs(cu1, cu2)
+    linked = 0
+    for cap, name, rules in _checked_rule_sets((closure_mod._MAX_FAMILY,)):
+        monkeypatch.setattr(closure_mod, "_MAX_FAMILY", cap)
+        for reading in ("membership", "derivability"):
+            for cu, gamma in inputs:
+                engine = closure_mod._Engine(rules, reading, cu)
+                try:
+                    engine.register(*_seed_masks(gamma, cu))
+                    engine.run()
+                except ClosureScaleError:
+                    pass  # the family up to the trip is checked all the same
+                n = len(cu.classes)
+                for key, state in engine.family.items():
+                    where = (name, reading, _render_set(gamma), key)
+                    assert state.key == key, where
+                    assert engine._key(state.seed_beliefs, state.seed_disbeliefs) == key, where
+                    for i in range(2 * n):
+                        want = engine._key(*_raw_child_seeds(state, i, n))
+                        assert engine._child_key(key, i) == want, (where, i)
+                        if i in state.children:
+                            assert state.children[i] == want, (where, i)
+                            assert state in engine.family[want].readers, (where, i)
+                    linked += len(state.children)
+    assert linked > 0
 
 
 # Rule sets, with the family cap each is checked under.  Under bd+bprime a
@@ -488,7 +556,7 @@ def test_skipping_clean_sets_matches_the_round_robin(cu1, cu2, monkeypatch):
 SKIP_CHECKED_RULE_SETS = {
     "bd+bprime": (AUGMENTED_RULE_SETS["bd+bprime"], closure_mod._MAX_FAMILY),
     "dprime": (AUGMENTED_RULE_SETS["dprime"], closure_mod._MAX_FAMILY),
-    "gbd+bprime": (RULE_SETS["gbd"] | {Rule.BPrime}, 64),
+    "gbd+bprime": (LITERAL_BPRIME_RULE_SETS["gbd+bprime"], 64),
 }
 
 
