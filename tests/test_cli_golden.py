@@ -8,7 +8,8 @@ Every fixture document and one 16-atom document are run through
 pinned countermodels (256 valuations each), in both formats under ``all``
 and ``bd``.  The small documents of ``SLICES`` are run
 through ``consequences`` (every logic) and ``closure`` (every logic and
-reading), each with and without the ``--atoms`` padding listed; ``meta``
+reading), each with and without the ``--atoms`` padding listed, once with
+``--json`` and once as text; ``meta``
 runs once, at seed 0 and quick scale.  Each run's exit code and the
 SHA-256 of its stdout are pinned in ``cli_golden.json``, so a refactor
 that changes one output byte fails here.  Re-record with
@@ -79,9 +80,9 @@ def _cases(name: str, command: str, fmt: str = "json") -> dict[str, list[str]]:
     if command in ("consequences", "closure"):
         readings = READINGS if command == "closure" else [None]
         return {
-            " ".join([name, command, lg, *([reading] if reading else []), *extra]): [
+            " ".join([name, command, lg, *([reading] if reading else []), *extra]) + suffix: [
                 command, path, "--logic", lg, *(["--reading", reading] if reading else []),
-                "--json", *extra,
+                *tail, *extra,
             ]
             for lg in LOGICS
             for reading in readings
@@ -156,6 +157,14 @@ def test_slice_json_output_is_byte_identical(name, command, tmp_path, monkeypatc
     assert got == _pinned(_cases(name, command))
 
 
+@pytest.mark.parametrize("command", ["consequences", "closure"])
+@pytest.mark.parametrize("name", sorted(SLICES))
+def test_slice_text_output_is_byte_identical(name, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = _run_all(name, command, tmp_path, "text")
+    assert got == _pinned(_cases(name, command, "text"))
+
+
 def test_meta_json_output_is_byte_identical():
     assert {META_CASE: _run(META_ARGV)} == _pinned([META_CASE])
 
@@ -213,7 +222,8 @@ def _record() -> None:
             golden.update(_run_lottery8(Path(tmp)))
             for name in sorted(SLICES):
                 for command in ("consequences", "closure"):
-                    golden.update(_run_all(name, command, Path(tmp)))
+                    for fmt in FORMATS:
+                        golden.update(_run_all(name, command, Path(tmp), fmt))
             golden[META_CASE] = _run(META_ARGV)
         finally:
             os.chdir(cwd)

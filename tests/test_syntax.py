@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 
@@ -233,3 +236,71 @@ def test_atoms_of_collects_every_atom():
     f = parse_formula("alpha -> beta & alpha | !gamma")
     assert atoms_of(f) == frozenset({"alpha", "beta", "gamma"})
     assert atoms_of(Top()) == frozenset()
+
+
+# --------------------------------------------------------------------------
+# One digest over a seeded corpus pins every tree, rendering and error text
+
+
+_TOKENS = ["p", "q", "r", "true", "false", "!", "&", "|", "->", "<->", "(", ")"]
+# separators, near-misses and characters outside the grammar
+_NOISE = [" ", " ", "\n", "\t", "<-", "-", "%", "B", "D:", "p2", "#"]
+_LEAVES = [p, q, r, Top(), Bottom()]
+_BINARY = [And, Or, Implies, Iff]
+
+
+def _formula_outcome(text: str) -> str:
+    try:
+        tree = parse_formula(text)
+    except ParseError as err:
+        return f"error {err} @{err.line}:{err.column} {sorted(err.expected)}"
+    return f"{tree!r} = {render_formula(tree)}"
+
+
+def _random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    if rng.random() < 0.2:
+        return Not(_random_tree(rng, depth - 1))
+    node = rng.choice(_BINARY)
+    return node(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _random_text(rng: random.Random) -> str:
+    pool = _TOKENS + _NOISE if rng.random() < 0.3 else _TOKENS
+    return " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+
+
+def _corpus():
+    rng = random.Random(11)
+    for _ in range(12000):
+        text = _random_text(rng)
+        yield f"{text!r}: {_formula_outcome(text)}"
+    for _ in range(3000):
+        text = render_formula(_random_tree(rng, 5))
+        # one token of the rendering replaced: errors deep inside a formula
+        cut = rng.randrange(len(text))
+        broken = text[:cut] + rng.choice(_TOKENS + _NOISE) + text[cut + 1 :]
+        yield f"{broken!r}: {_formula_outcome(broken)}"
+    for _ in range(3000):
+        tree = _random_tree(rng, 6)
+        text = render_formula(tree)
+        assert parse_formula(text) == tree, text
+        yield text
+    for _ in range(300):
+        lines = [
+            rng.choice(["B: ", "D: ", "", "  D :", "# ", "b: "]) + _random_text(rng)
+            for _ in range(rng.randint(1, 6))
+        ]
+        document = "\n".join(lines)
+        try:
+            outcome = render_document(parse_information_set(document))
+        except DocumentParseError as err:
+            spots = [(e.line, e.column, sorted(e.expected)) for e in err.errors]
+            outcome = f"error {err} {spots}"
+        yield f"{document!r}: {outcome}"
+
+
+def test_parser_corpus_is_unchanged():
+    digest = hashlib.sha256("\n".join(_corpus()).encode("utf-8")).hexdigest()
+    assert digest == "848213114fee127e51eb9b6d9f120508a6cc6892e9006bea2f77b4908b8abe9d"
