@@ -24,13 +24,7 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .closure import (
-    RULE_SETS,
-    ClosureScaleError,
-    build_universe,
-    close,
-    sentence_order_key,
-)
+from .closure import RULE_SETS, ClosureScaleError, ClosureUniverse, close
 from .decision import (
     CONSEQUENCE_UNIVERSE_LIMIT,
     consequences,
@@ -126,6 +120,11 @@ def _universe_for_gamma(
     if not names:
         names = ["p"]
     return AtomUniverse(names)
+
+
+def _in_order(cu: ClosureUniverse, chosen: frozenset) -> list:
+    """``chosen`` in ``cu.sentences`` order: beliefs, then disbeliefs, by class."""
+    return [s for s in cu.sentences if s in chosen]
 
 
 def _input_block(gamma: InformationSet, source: str) -> dict:
@@ -240,10 +239,8 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
 def _cmd_consequences(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     universe = _universe_for_gamma(gamma, args.atoms, CONSEQUENCE_UNIVERSE_LIMIT)
-    entailed = sorted(
-        consequences(args.logic, gamma, universe),
-        key=sentence_order_key(universe),
-    )
+    target = consequences(args.logic, gamma, universe)
+    entailed = _in_order(ClosureUniverse(universe), target)
     if args.json:
         _emit(
             {
@@ -270,13 +267,13 @@ def _cmd_consequences(args: argparse.Namespace) -> int:
 def _cmd_closure(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     universe = _universe_for_gamma(gamma, args.atoms, 2)
-    cu = build_universe(universe.n, universe.atoms)
+    cu = ClosureUniverse(universe)
     rules = RULE_SETS[args.logic]
-    order = sentence_order_key(universe)
-    derived = sorted(close(rules, args.reading, gamma, cu), key=order)
+    closed = close(rules, args.reading, gamma, cu)
     target = consequences(args.logic, gamma, universe)
-    missing = sorted(target - frozenset(derived), key=order)
-    extra = sorted(frozenset(derived) - target, key=order)
+    derived = _in_order(cu, closed)
+    missing = _in_order(cu, target - closed)
+    extra = _in_order(cu, closed - target)
     rule_names = sorted(r.value for r in rules)
     if args.json:
         _emit(

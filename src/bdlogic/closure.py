@@ -65,7 +65,6 @@ __all__ = [
     "close",
     "Disagreement",
     "readings_agree",
-    "sentence_order_key",
 ]
 
 
@@ -407,15 +406,6 @@ class Disagreement:
         return f"Γ={{{gamma_text}}}: {render_sentence(self.sentence)} ({side})"
 
 
-def sentence_order_key(universe: AtomUniverse):
-    """Sort key for sentences over ``universe``: beliefs first, then by class."""
-
-    def key(s: Sentence) -> tuple[bool, int]:
-        return (isinstance(s, Disbelief), models_of(s.body, universe))
-
-    return key
-
-
 def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -> int:
     """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
     if isinstance(side, str):
@@ -434,7 +424,7 @@ def readings_agree(
 
     A side is either a logic name (its decision procedure) or a
     ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
-    Each set's records come in :func:`sentence_order_key` order.
+    Each set's records come in ``cu.sentences`` order.
     """
     records: list[Disagreement] = []
     for gamma in samples:

@@ -395,21 +395,15 @@ def construct_countermodel(
         n = conjunction_mask(gamma.dual_bodies, u)
         model = ModelGBD(m=m, n=n, universe=u)
     else:
-        query_mask = models_of(alpha.body, u)
+        # one source per disbelief, at the lowest world of ``scope`` outside
+        # it; for a disbelief query, ``scope`` keeps only where its body holds
+        scope = m & models_of(alpha.body, u) if isinstance(alpha, Disbelief) else m
         members: set[int] = set()
-        if isinstance(alpha, Disbelief):
-            # one source per disbelief, placed where the query body holds
-            for body in gamma.disbelief_bodies:
-                candidates = m & query_mask & ~models_of(body, u)
-                members.add(1 << _lowest_world(candidates) if candidates else 0)
-            if not gamma.disbelief_bodies:
-                members.add(1 << _lowest_world(m & query_mask) if m & query_mask else 0)
-        else:
-            for body in gamma.disbelief_bodies:
-                candidates = m & ~models_of(body, u)
-                members.add(1 << _lowest_world(candidates) if candidates else 0)
-            if not gamma.disbelief_bodies:
-                members.add(1 << _lowest_world(m) if m else 0)
+        for body in gamma.disbelief_bodies:
+            candidates = scope & ~models_of(body, u)
+            members.add(1 << _lowest_world(candidates) if candidates else 0)
+        if not gamma.disbelief_bodies:
+            members.add(1 << _lowest_world(scope) if scope else 0)
         model = ModelBD(m=m, family=frozenset(members), universe=u)
     if not holds_all(model, gamma) or satisfies(model, alpha):
         raise CountermodelConstructionError(

@@ -62,77 +62,78 @@ _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 # Formulas
 
 
+class _FormulaNode:
+    """Base of the formula nodes: ``str`` is the minimal-parentheses rendering."""
+
+    def __str__(self) -> str:
+        return render_formula(self)  # type: ignore[arg-type]
+
+
 @dataclass(frozen=True)
-class Atom:
+class Atom(_FormulaNode):
     name: str
 
     def __post_init__(self) -> None:
         if not _ATOM_RE.match(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
 
-    def __str__(self) -> str:
-        return render_formula(self)
+
+@dataclass(frozen=True)
+class Top(_FormulaNode):
+    """The constant ``true``."""
 
 
 @dataclass(frozen=True)
-class Top:
-    def __str__(self) -> str:
-        return render_formula(self)
+class Bottom(_FormulaNode):
+    """The constant ``false``."""
 
 
 @dataclass(frozen=True)
-class Bottom:
-    def __str__(self) -> str:
-        return render_formula(self)
-
-
-@dataclass(frozen=True)
-class Not:
+class Not(_FormulaNode):
     operand: "Formula"
 
-    def __str__(self) -> str:
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_FormulaNode):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return render_formula(self)
-
 
 @dataclass(frozen=True)
-class Iff:
+class Iff(_FormulaNode):
     left: "Formula"
     right: "Formula"
-
-    def __str__(self) -> str:
-        return render_formula(self)
 
 
 Formula = Union[Atom, Top, Bottom, Not, And, Or, Implies, Iff]
 
-_BINARY_NODES = (And, Or, Implies, Iff)
+# The binary connectives as (node, token kind, symbol), loosest first.  A
+# connective's precedence is its index, ``!`` binds tighter than any of them,
+# and ``->`` alone associates to the right.  The tokenizer, the parser and the
+# renderer all read this table.
+_CONNECTIVES = (
+    (Iff, "IFF", "<->"),
+    (Implies, "IMPLIES", "->"),
+    (Or, "OR", "|"),
+    (And, "AND", "&"),
+)
+_UNARY = len(_CONNECTIVES)  # the precedence of ``!``, atoms and constants
+# token kind -> (precedence, node), and node -> (precedence, symbol)
+_BY_TOKEN = {kind: (level, node) for level, (node, kind, _) in enumerate(_CONNECTIVES)}
+_BY_NODE = {node: (level, symbol) for level, (node, _, symbol) in enumerate(_CONNECTIVES)}
+_BINARY_NODES = tuple(_BY_NODE)
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
@@ -155,20 +156,21 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 # Sentences and information sets
 
 
-@dataclass(frozen=True)
-class Belief:
-    body: Formula
+class _SentenceNode:
+    """Base of the two sentence sorts: ``str`` is the ``B:``/``D:`` rendering."""
 
     def __str__(self) -> str:
-        return render_sentence(self)
+        return render_sentence(self)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
-class Disbelief:
+class Belief(_SentenceNode):
     body: Formula
 
-    def __str__(self) -> str:
-        return render_sentence(self)
+
+@dataclass(frozen=True)
+class Disbelief(_SentenceNode):
+    body: Formula
 
 
 Sentence = Union[Belief, Disbelief]
@@ -256,11 +258,7 @@ def _sentence_sort_key(s: Sentence) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_SPEC = [
-    ("IFF", r"<->"),
-    ("IMPLIES", r"->"),
-    ("AND", r"&"),
-    ("OR", r"\|"),
+_TOKEN_SPEC = [(kind, re.escape(symbol)) for _, kind, symbol in _CONNECTIVES] + [
     ("NOT", r"!"),
     ("LPAREN", r"\("),
     ("RPAREN", r"\)"),
@@ -271,18 +269,13 @@ _TOKEN_SPEC = [
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _TOKEN_SPEC))
 
-_TOKEN_LABEL = {
-    "IFF": "'<->'",
-    "IMPLIES": "'->'",
-    "AND": "'&'",
-    "OR": "'|'",
+_TOKEN_LABEL = {kind: f"'{symbol}'" for _, kind, symbol in _CONNECTIVES} | {
     "NOT": "'!'",
     "LPAREN": "'('",
     "RPAREN": "')'",
     "WORD": "atom",
     "EOF": "end of input",
 }
-
 
 class ParseError(ValueError):
     """Syntax error with position and the set of token kinds expected there."""
@@ -368,37 +361,20 @@ class _Parser:
             labels,
         )
 
-    # formula := iff
-    def formula(self) -> Formula:
-        return self.iff()
+    def formula(self, floor: int = 0) -> Formula:
+        """A formula whose top connectives all bind no looser than ``floor``.
 
-    def iff(self) -> Formula:
-        node = self.imp()
-        while self.peek().kind == "IFF":
-            self.advance()
-            node = Iff(node, self.imp())
-        return node
-
-    def imp(self) -> Formula:
-        node = self.disjunction()
-        if self.peek().kind == "IMPLIES":
-            self.advance()
-            return Implies(node, self.imp())
-        return node
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek().kind == "OR":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
+        Precedence climbing: the right operand of a connective at level k
+        takes connectives of level k + 1 and up, or of level k itself for
+        the right-associative ``->``.
+        """
         node = self.unary()
-        while self.peek().kind == "AND":
+        while True:
+            level, connective = _BY_TOKEN.get(self.peek().kind, (-1, None))
+            if level < floor:
+                return node
             self.advance()
-            node = And(node, self.unary())
-        return node
+            node = connective(node, self.formula(level + (connective is not Implies)))
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -473,22 +449,8 @@ def parse_information_set(document: str) -> InformationSet:
 # ---------------------------------------------------------------------------
 # Rendering (minimal parentheses; parse(render(x)) is structurally x)
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
-
-
-def _prec(node: Formula) -> int:
-    if isinstance(node, Iff):
-        return _PREC_IFF
-    if isinstance(node, Implies):
-        return _PREC_IMP
-    if isinstance(node, Or):
-        return _PREC_OR
-    if isinstance(node, And):
-        return _PREC_AND
-    return _PREC_UNARY
-
-
-def _render(node: Formula) -> str:
+def _render(node: Formula, floor: int = 0) -> str:
+    """``node``'s text, parenthesized if its connective binds looser than ``floor``."""
     if isinstance(node, Atom):
         return node.name
     if isinstance(node, Top):
@@ -496,32 +458,14 @@ def _render(node: Formula) -> str:
     if isinstance(node, Bottom):
         return "false"
     if isinstance(node, Not):
-        inner = _render(node.operand)
-        if _prec(node.operand) < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(node, Implies):
-        # right-associative: parenthesize a left child at the same level
-        left = _wrap(node.left, minimum=_PREC_IMP + 1)
-        right = _wrap(node.right, minimum=_PREC_IMP)
-        return f"{left} -> {right}"
-    if isinstance(node, Iff):
-        op, prec = "<->", _PREC_IFF
-    elif isinstance(node, Or):
-        op, prec = "|", _PREC_OR
-    else:
-        op, prec = "&", _PREC_AND
-    # left-associative: parenthesize a right child at the same level
-    left = _wrap(node.left, minimum=prec)
-    right = _wrap(node.right, minimum=prec + 1)
-    return f"{left} {op} {right}"
-
-
-def _wrap(node: Formula, minimum: int) -> str:
-    text = _render(node)
-    if _prec(node) < minimum:
-        return f"({text})"
-    return text
+        return "!" + _render(node.operand, _UNARY)
+    level, symbol = _BY_NODE[type(node)]
+    # the operand on the associative side may hold the same connective
+    right_assoc = isinstance(node, Implies)
+    left = _render(node.left, level + right_assoc)
+    right = _render(node.right, level + (not right_assoc))
+    text = f"{left} {symbol} {right}"
+    return f"({text})" if level < floor else text
 
 
 def render_formula(formula: Formula) -> str:

@@ -199,7 +199,7 @@ print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
 
 @pytest.mark.parametrize(
     "body",
-    ["!" * 2000 + "p", "(" * 300 + "p" + ")" * 300, " & ".join(["p", "q"] * 1500)],
+    ["!" * 2000 + "p", "(" * 3000 + "p" + ")" * 3000, " & ".join(["p", "q"] * 1500)],
     ids=["not", "parens", "chain"],
 )
 @pytest.mark.parametrize(
@@ -212,6 +212,17 @@ def test_deeply_nested_input_exits_two(capsys, tmp_path, body, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "--query", "B: p"], ["consistency"]], ids=["check", "consistency"]
+)
+def test_three_hundred_nested_parentheses_are_answered(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.bdl"
+    deep.write_text("B: " + "(" * 300 + "p" + ")" * 300 + "\n")
+    code, out, err = run(capsys, argv[0], str(deep), *argv[1:])
+    assert code == 0
+    assert out and err == ""
 
 
 class TestConsistency:
