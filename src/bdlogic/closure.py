@@ -42,10 +42,10 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Literal, Union
+from typing import Iterable, Literal, Union
 
 from .decision import consequence_masks
-from .plcore import AtomUniverse, formula_for_class, models_of
+from .plcore import AtomUniverse, formula_for_class, members, models_of
 from .syntax import (
     Belief,
     Disbelief,
@@ -152,14 +152,6 @@ def _union(sets: Iterable[int]) -> int:
     return functools.reduce(operator.or_, sets, 0)
 
 
-def _members(bits: int) -> Iterator[int]:
-    """The classes in a set of classes, in ascending order."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def build_universe(n: int, atoms: Iterable[str] | None = None) -> ClosureUniverse:
     """Closure universe over ``n`` distinct atoms (named p, q unless given)."""
     names = ("p", "q")[:n] if atoms is None else tuple(atoms)
@@ -231,8 +223,8 @@ class _Engine:
         """The disbelief seeds restricted to ``key_b``, keeping each one that
         no other restricted seed contains."""
         up = self.cu.up
-        r = _union(1 << (key_b & psi) for psi in _members(sd))
-        return _union(1 << p for p in _members(r) if up[p] & r == 1 << p)
+        r = _union(1 << (key_b & psi) for psi in members(sd))
+        return _union(1 << p for p in members(r) if up[p] & r == 1 << p)
 
     def _key(self, sb: int, sd: int) -> tuple[int, int]:
         """The family key of the raw seeds."""
@@ -312,15 +304,15 @@ class _Engine:
         add_d = 1 if Rule.DBot in rules else 0
 
         if Rule.WD in rules:
-            add_d |= _union(down[psi] for psi in _members(dis_src))
+            add_d |= _union(down[psi] for psi in members(dis_src))
         if Rule.GD in rules:
             # the negated disbeliefs refute exactly the classes inside the
             # union of the disbelieved ones
-            add_d |= down[_union(_members(dis_src))]
+            add_d |= down[_union(members(dis_src))]
         if Rule.D in rules:
-            add_d |= _union(down[psi | full & ~conj] for psi in _members(dis_src))
+            add_d |= _union(down[psi | full & ~conj] for psi in members(dis_src))
         if Rule.DtoB in rules:
-            add_b |= _union(1 << (full & ~psi) for psi in _members(dis_src))
+            add_b |= _union(1 << (full & ~psi) for psi in members(dis_src))
         if Rule.DPrime in rules:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
@@ -328,7 +320,7 @@ class _Engine:
                 # one augmented set per class: disbelieve c when the set
                 # plus B: c comes to believe something disbelieved
                 links, family = state.children, self.family
-                for c in _members(self.every & ~(state.disbeliefs | add_d)):
+                for c in members(self.every & ~(state.disbeliefs | add_d)):
                     key = links.get(c)
                     child = self._link(state, c) if key is None else family[key]
                     if child.beliefs & dis_src:
@@ -340,7 +332,7 @@ class _Engine:
                 # believe c when the set plus D: c comes to disbelieve
                 # something believed
                 links, family, n = state.children, self.family, len(self.cu.classes)
-                for c in _members(self.every & ~(state.beliefs | add_b)):
+                for c in members(self.every & ~(state.beliefs | add_b)):
                     key = links.get(n + c)
                     child = self._link(state, n + c) if key is None else family[key]
                     if child.disbeliefs & bel_src:
@@ -356,6 +348,23 @@ class _Engine:
         return True
 
 
+def _close_classes(
+    rules: Iterable[Rule],
+    reading: RuleReading,
+    sb: int,
+    sd: int,
+    cu: ClosureUniverse,
+) -> int:
+    """Close the set with belief classes ``sb`` and disbelief classes ``sd``
+    (bit c for class c); bit i of the result stands for ``cu.sentences[i]``."""
+    if reading not in ("membership", "derivability"):
+        raise ValueError(f"unknown reading {reading!r}")
+    engine = _Engine(frozenset(rules), reading, cu)
+    top = engine.register(sb, sd)
+    engine.run()
+    return top.beliefs | top.disbeliefs << len(cu.classes)
+
+
 def _close_bits(
     rules: Iterable[Rule],
     reading: RuleReading,
@@ -363,14 +372,9 @@ def _close_bits(
     cu: ClosureUniverse,
 ) -> int:
     """:func:`close` as bits, bit i standing for ``cu.sentences[i]``."""
-    if reading not in ("membership", "derivability"):
-        raise ValueError(f"unknown reading {reading!r}")
     sb = _union(1 << models_of(body, cu.universe) for body in gamma.belief_bodies)
     sd = _union(1 << models_of(body, cu.universe) for body in gamma.disbelief_bodies)
-    engine = _Engine(frozenset(rules), reading, cu)
-    top = engine.register(sb, sd)
-    engine.run()
-    return top.beliefs | top.disbeliefs << len(cu.classes)
+    return _close_classes(rules, reading, sb, sd, cu)
 
 
 def close(
@@ -384,7 +388,7 @@ def close(
     Returns every derivable sentence of the universe, the seeds included.
     """
     derived = _close_bits(rules, reading, gamma, cu)
-    return frozenset(cu.sentences[i] for i in _members(derived))
+    return frozenset(cu.sentences[i] for i in members(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,16 @@ def readings_agree(
     records: list[Disagreement] = []
     for gamma in samples:
         left, right = _sentence_bits(a, gamma, cu), _sentence_bits(b, gamma, cu)
-        for i in _members(left ^ right):
-            in_a = bool(left >> i & 1)
-            records.append(Disagreement(gamma, cu.sentences[i], in_a, not in_a))
+        records += _disagreements(gamma, left, right, cu)
     return records
+
+
+def _disagreements(
+    gamma: InformationSet, left: int, right: int, cu: ClosureUniverse
+) -> list[Disagreement]:
+    """Where two sides' consequences of ``gamma`` differ, in ``cu.sentences``
+    order; bit i of ``left`` and ``right`` stands for ``cu.sentences[i]``."""
+    return [
+        Disagreement(gamma, cu.sentences[i], bool(left >> i & 1), not left >> i & 1)
+        for i in members(left ^ right)
+    ]

@@ -23,13 +23,15 @@ their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Callable, Optional
 
 from .plcore import (
     AtomUniverse,
     conjunction_mask,
     formula_for_class,
+    members,
     models_of,
     universe_for,
 )
@@ -73,6 +75,11 @@ class _Compiled:
         self.gamma = gamma
         self.universe = universe
 
+    @property
+    def belief_bodies(self) -> tuple[Formula, ...]:
+        """The believed formulas, in rendering order."""
+        return self.gamma.belief_bodies
+
     @cached_property
     def beliefs(self) -> int:
         """Models of ``G_B``."""
@@ -98,6 +105,31 @@ class _Compiled:
     def projection(self) -> _Projection:
         """The record of ``gamma``'s disbelief projection."""
         return _Projection(self)
+
+
+class _ClassCompiled(_Compiled):
+    """The set with belief classes ``sb`` and disbelief classes ``sd`` (bit
+    c for class c), each class's body its representative
+    :func:`formula_for_class`.
+
+    For a set of class representatives it holds what the record compiled
+    from the set's formulas holds, with no formula evaluated.  The masks
+    cost a few bit operations, so they are set at once; the disbelieved
+    classes are the witnesses, in ascending order.
+    """
+
+    def __init__(self, sb: int, sd: int, universe: AtomUniverse):
+        self.sb = sb
+        self.universe = universe
+        full = universe.full_mask
+        self.beliefs = reduce(and_, members(sb), full)
+        self.dual = full & ~reduce(or_, members(sd), 0)
+        self.witnesses = [(c, formula_for_class(c, universe)) for c in members(sd)]
+
+    @cached_property
+    def belief_bodies(self) -> tuple[Formula, ...]:  # type: ignore[override]
+        bodies = (formula_for_class(c, self.universe) for c in members(self.sb))
+        return tuple(sorted(bodies, key=render_formula))
 
 
 class _Projection:
@@ -314,7 +346,7 @@ def _combined_witness(logic: LogicId, c: _Compiled) -> Optional[Formula]:
         candidates.append((0, Bottom()))
     if logic == "gbd" and beliefs & c.dual == 0:
         merged: Formula = Top()
-        for body in c.gamma.belief_bodies:
+        for body in c.belief_bodies:
             merged = body if isinstance(merged, Top) else And(merged, body)
         candidates.append((beliefs, merged))
     if not candidates:
@@ -332,12 +364,16 @@ def inconsistency_report(
     if logic not in _RULES:
         raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
     u = universe if universe is not None else universe_for(gamma)
-    rule = _RULES[logic]
-    compiled = _compiled(gamma, u)
+    return _report(logic, _compiled(gamma, u))
+
+
+def _report(logic: LogicId, compiled: _Compiled) -> InconsistencyReport:
+    """The inconsistency notions of one compiled set under ``logic``."""
+    rule, full = _RULES[logic], compiled.universe.full_mask
     # D: true, whose mask is the full one
-    d_inconsistent = rule(compiled, False, u.full_mask) is not None
+    d_inconsistent = rule(compiled, False, full) is not None
     projection = compiled.projection
-    d_literal = rule(projection, False, u.full_mask) is not None  # type: ignore[arg-type]
+    d_literal = rule(projection, False, full) is not None  # type: ignore[arg-type]
     witness = _combined_witness(logic, compiled)
     return InconsistencyReport(
         logic=logic,
@@ -353,26 +389,38 @@ def inconsistency_report(
 # Finite consequence slices
 
 
+def _slice_masks(logic: LogicId, compiled: _Compiled) -> tuple[int, int]:
+    """The entailed belief and disbelief classes of one compiled set."""
+    rule, masks = _RULES[logic], range(compiled.universe.full_mask + 1)
+    return tuple(  # type: ignore[return-value]
+        sum(1 << m for m in masks if rule(compiled, belief, m) is not None)
+        for belief in (True, False)
+    )
+
+
 def consequence_masks(
     logic: LogicId, gamma: InformationSet, universe: AtomUniverse
 ) -> tuple[int, int]:
     """The entailed belief classes and disbelief classes, bit c for class c.
 
     The slice has one belief and one disbelief per class, so it is finite:
-    2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  ``gamma`` is
-    compiled once and each class mask is tested directly.
+    2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  Which sentences are
+    entailed depends only on the classes of ``gamma``'s bodies, so those
+    are read off once and each class mask is tested directly.
     """
+    # checked first: at 5 atoms, 1 << mask below can be a 2^32-bit int
     if universe.n > CONSEQUENCE_UNIVERSE_LIMIT:
         raise ValueError(
             f"consequence enumeration supports at most {CONSEQUENCE_UNIVERSE_LIMIT} "
             f"atoms, got {universe.n}"
         )
-    rule, compiled = _RULES[logic], _Compiled(gamma, universe)
-    masks = range(universe.full_mask + 1)
-    return tuple(  # type: ignore[return-value]
-        sum(1 << m for m in masks if rule(compiled, belief, m) is not None)
-        for belief in (True, False)
-    )
+    sb = sd = 0
+    for s in gamma.sentences:
+        if isinstance(s, Belief):
+            sb |= 1 << models_of(s.body, universe)
+        else:
+            sd |= 1 << models_of(s.body, universe)
+    return _slice_masks(logic, _ClassCompiled(sb, sd, universe))
 
 
 def consequences(

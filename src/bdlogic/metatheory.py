@@ -36,14 +36,25 @@ from .closure import (
     ClosureUniverse,
     Disagreement,
     Rule,
+    _close_classes,
+    _disagreements,
     build_universe,
     close,
     readings_agree,
 )
-from .decision import consequences, decide, inconsistency_report
+from .decision import (
+    _RULES,
+    _ClassCompiled,
+    _combined_witness,
+    _slice_masks,
+    consequence_masks,
+    consequences,
+    decide,
+    inconsistency_report,
+)
 from .fixtures import agnostic, evaluate, lottery
 from .jsontext import dumps
-from .plcore import AtomUniverse, models_of
+from .plcore import AtomUniverse, members
 from .semantics import (
     ModelBD,
     ModelWBD,
@@ -251,22 +262,45 @@ def _cu(n: int) -> ClosureUniverse:
     return build_universe(n)
 
 
+# A set of sentences of a closure universe can also be given as one int,
+# bit i standing for ``cu.sentences[i]``: its low ``len(cu.classes)`` bits
+# are the belief classes and the rest the disbelief classes, bit c for
+# class c, so the class masks the decision kernel and the closure engine
+# take are read off without building the set.
+
+
+def _sampled_bits(cu: ClosureUniverse, max_size: int, rng: random.Random) -> int:
+    """A uniform-size random subset of the universe's sentences, as bits.
+
+    ``rng.sample`` picks positions from the population's length alone, so
+    sampling indices draws what sampling ``cu.sentences`` would.
+    """
+    k = rng.randint(0, min(max_size, len(cu.sentences)))
+    return sum(1 << i for i in rng.sample(range(len(cu.sentences)), k))
+
+
+def _set_of(cu: ClosureUniverse, bits: int) -> InformationSet:
+    """The sentences of ``cu`` that ``bits`` stands for, as a set."""
+    return InformationSet(frozenset(cu.sentences[i] for i in members(bits)))
+
+
+def _split_bits(cu: ClosureUniverse, bits: int) -> tuple[int, int]:
+    """The belief classes and the disbelief classes of a set given as bits."""
+    n = len(cu.classes)
+    return bits & (1 << n) - 1, bits >> n
+
+
 def generate_information_set(
     cu: ClosureUniverse, max_size: int, rng: random.Random
 ) -> InformationSet:
     """A uniform-size random subset of the universe's sentences."""
-    k = rng.randint(0, min(max_size, len(cu.sentences)))
-    return InformationSet(frozenset(rng.sample(cu.sentences, k)))
+    return _set_of(cu, _sampled_bits(cu, max_size, rng))
 
 
 @functools.cache
 def _all_n1_sets() -> tuple[InformationSet, ...]:
     """All 256 information sets over the 1-atom universe's 8 sentences."""
-    sent = _cu(1).sentences
-    return tuple(
-        InformationSet(frozenset(s for i, s in enumerate(sent) if k >> i & 1))
-        for k in range(1 << len(sent))
-    )
+    return tuple(_set_of(_cu(1), k) for k in range(1 << len(_cu(1).sentences)))
 
 
 def _fmt(gamma: InformationSet) -> str:
@@ -294,11 +328,8 @@ def _slice_classes(
     logic: LogicId, gamma: InformationSet, u: AtomUniverse
 ) -> tuple[set[int], set[int]]:
     """The classes of Γ's believed and of its disbelieved consequences."""
-    bel: set[int] = set()
-    dis: set[int] = set()
-    for s in consequences(logic, gamma, u):
-        (bel if isinstance(s, Belief) else dis).add(models_of(s.body, u))
-    return bel, dis
+    bel, dis = consequence_masks(logic, gamma, u)
+    return set(members(bel)), set(members(dis))
 
 
 def _project(gamma: InformationSet, keep_beliefs: bool) -> InformationSet:
@@ -505,6 +536,42 @@ def _inconsistency_collapse(ctx: _Ctx) -> str:
 # The belief-introduction rule is unsound in general
 
 
+def _bprime_sweep(
+    ctx: _Ctx, cu: ClosureUniverse
+) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The rule's violations on every set of at most two sentences of ``cu``.
+
+    Returns each violation (Γ as sentence bits, f, g), the number of
+    combined-consistent sets and the number of violations on them.  Counts
+    one check per premise triple (f, g) with g believed.  Every verdict is
+    the bd rule's, on records compiled from class masks.
+    """
+    rule, u = _RULES["bd"], cu.universe
+    classes = range(u.full_mask + 1)
+    violations: list[tuple[int, int, int]] = []
+    consistent_sets = consistent_violations = 0
+    # the empty set, then every singleton, then every pair
+    for k in range(3):
+        for combo in itertools.combinations(range(len(cu.sentences)), k):
+            bits = sum(1 << i for i in combo)
+            sb, sd = _split_bits(cu, bits)
+            gamma = _ClassCompiled(sb, sd, u)
+            bel = [c for c in classes if rule(gamma, True, c) is not None]
+            consistent = _combined_witness("bd", gamma) is None
+            consistent_sets += consistent
+            ctx.checks += len(classes) * len(bel)
+            believed = sum(1 << c for c in bel)
+            for phi in classes:
+                if believed >> phi & 1:  # conclusion already holds
+                    continue
+                grown = _ClassCompiled(sb, sd | 1 << phi, u)
+                for psi in bel:
+                    if rule(grown, False, psi) is not None:
+                        violations.append((bits, phi, psi))
+                        consistent_violations += consistent
+    return violations, consistent_sets, consistent_violations
+
+
 @_case(
     "bprime-counterexample-bd",
     "the rule «from Γ ⊦ B: g and Γ+D: f ⊦ D: g conclude Γ ⊦ B: f» is "
@@ -513,35 +580,10 @@ def _inconsistency_collapse(ctx: _Ctx) -> str:
 )
 def _bprime_counterexample(ctx: _Ctx) -> str:
     cu2 = _cu(2)
+    violations, consistent_sets, consistent_violations = _bprime_sweep(ctx, cu2)
     u = cu2.universe
-    full = u.full_mask
-    violations: list[tuple[InformationSet, int, int]] = []
-    consistent_violations = 0
-    consistent_sets = 0
-
-    # the empty set, then every singleton, then every pair
-    small_sets = [
-        InformationSet(frozenset(combo))
-        for k in range(3)
-        for combo in itertools.combinations(cu2.sentences, k)
-    ]
-    for gamma in small_sets:
-        bel, _ = _slice_classes("bd", gamma, u)
-        consistent = not inconsistency_report("bd", gamma).combined_inconsistent
-        consistent_sets += consistent
-        # one check per premise triple (f, g) with g believed
-        ctx.checks += (full + 1) * len(bel)
-        for phi in range(full + 1):
-            if phi in bel:  # conclusion already holds, nothing to violate
-                continue
-            grown = gamma.union([cu2.sentence(False, phi)])
-            for psi in bel:
-                if decide("bd", grown, cu2.sentence(False, psi), u).entailed:
-                    violations.append((gamma, phi, psi))
-                    consistent_violations += consistent
-
     p, q = u.atom_mask("p"), u.atom_mask("q")
-    canonical = (parse_information_set("B: q\nD: q"), p, q)
+    canonical = (1 << q | 1 << len(cu2.classes) + q, p, q)  # {B: q; D: q}, f=p, g=q
     if not violations:
         ctx.fail("expected the rule to fail somewhere on the 2-atom slice")
     if canonical not in violations:
@@ -750,6 +792,27 @@ _VALIDATED_CLOSURES: dict[LogicId, list[tuple[frozenset[Rule], str]]] = {
 }
 
 
+def _closure_disagreements(
+    side: tuple[frozenset[Rule], str],
+    logic: LogicId,
+    sets: Sequence[int],
+    cu: ClosureUniverse,
+) -> Iterator[Disagreement]:
+    """``readings_agree(side, logic, ...)`` over sets given as sentence bits.
+
+    Both sides take the sets' class masks; a set is built only where they
+    differ, for the records.
+    """
+    rules, reading = side
+    n = len(cu.classes)
+    for bits in sets:
+        sb, sd = _split_bits(cu, bits)
+        b, d = _slice_masks(logic, _ClassCompiled(sb, sd, cu.universe))
+        left, right = _close_classes(rules, reading, sb, sd, cu), b | d << n
+        if left != right:
+            yield from _disagreements(_set_of(cu, bits), left, right, cu)
+
+
 @_case(
     "closure-decision-{logic}",
     "the validated {logic} rule set closes every set to exactly its "
@@ -760,18 +823,15 @@ _VALIDATED_CLOSURES: dict[LogicId, list[tuple[frozenset[Rule], str]]] = {
 def _closure_decision(ctx: _Ctx, logic: LogicId) -> str:
     cu1, cu2 = _cu(1), _cu(2)
     sides = _VALIDATED_CLOSURES[logic]
-    samples = [
-        generate_information_set(cu2, 4, ctx.rng)
-        for _ in range(ctx.count(100, 250))
-    ]
+    samples = [_sampled_bits(cu2, 4, ctx.rng) for _ in range(ctx.count(100, 250))]
     for label, cu, sets in (
-        ("1 atom", cu1, _all_n1_sets()),
+        ("1 atom", cu1, range(1 << len(cu1.sentences))),
         ("2 atoms", cu2, samples),
     ):
         for rules, reading in sides:
-            records = readings_agree((rules, reading), logic, sets, cu)
+            records = _closure_disagreements((rules, reading), logic, sets, cu)
             ctx.checks += len(sets) * len(cu.sentences)
-            for r in records[:2]:
+            for r in itertools.islice(records, 2):
                 ctx.fail(f"{label}, {reading}: {r.render()}")
 
     exhaustive_note = ""
@@ -779,12 +839,13 @@ def _closure_decision(ctx: _Ctx, logic: LogicId) -> str:
         # exhaustive |Γ| <= 4 over the 2-atom universe, primary rule set
         count = 0
         for k in range(5):
-            for combo in itertools.combinations(cu2.sentences, k):
-                gamma = InformationSet(frozenset(combo))
+            for combo in itertools.combinations(range(len(cu2.sentences)), k):
+                bits = sum(1 << i for i in combo)
                 count += 1
                 ctx.check(
-                    not readings_agree(sides[0], logic, [gamma], cu2),
-                    lambda: f"exhaustive: Γ={_fmt(gamma)}",
+                    next(_closure_disagreements(sides[0], logic, [bits], cu2), None)
+                    is None,
+                    lambda: f"exhaustive: Γ={_fmt(_set_of(cu2, bits))}",
                     weight=len(cu2.sentences),
                 )
         exhaustive_note = f" plus all {count} sets of size <= 4"

@@ -9,7 +9,7 @@ set — its *semantic class* — is a single int and entailment is a subset test
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .syntax import (
     And,
@@ -35,6 +35,7 @@ __all__ = [
     "models_of",
     "semantic_class",
     "conjunction_mask",
+    "members",
     "pl_entails",
     "is_tautology",
     "is_contradiction",
@@ -149,6 +150,15 @@ def conjunction_mask(premises: Iterable[Formula], universe: AtomUniverse) -> Wor
     for premise in premises:
         mask &= models_of(premise, universe)
     return mask
+
+
+def members(bits: int) -> Iterator[int]:
+    """The set bits of ``bits``, in ascending order: the worlds of a world
+    set, or the classes of a set of classes (bit c for class c)."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def pl_entails(

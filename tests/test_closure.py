@@ -280,7 +280,7 @@ def test_seed_conjunction_matches_its_members(cu1, cu2):
         engine = closure_mod._Engine(RULE_SETS["bd"], "derivability", cu)
         for beliefs in range(1 << len(cu.classes)):
             want = cu.universe.full_mask
-            for c in closure_mod._members(beliefs):
+            for c in closure_mod.members(beliefs):
                 want &= c
             assert engine._conj(beliefs) == want, (cu, beliefs)
 
@@ -402,7 +402,7 @@ class _RoundRobinEngine(closure_mod._Engine):
     def _apply(self, state) -> bool:
         self.applied += 1
         rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
-        members, union = closure_mod._members, closure_mod._union
+        members, union = closure_mod.members, closure_mod._union
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)

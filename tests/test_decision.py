@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -375,3 +377,54 @@ class TestDisbeliefProjection:
                 rep = inconsistency_report(logic, gamma, u)
                 literal = decision._RULES[logic](apart, False, u.full_mask) is not None
                 assert rep.d_inconsistent_literal == literal, (logic, gamma)
+
+
+class TestClassRecord:
+    """A set of class representatives compiled from its class masks reads
+    as the record compiled from its formulas, under every logic."""
+
+    @staticmethod
+    def _sets(cu1, cu2):
+        """Every 1-atom set, then 240 seeded 2-atom sets of up to 6
+        sentences; a set is an int, bit i standing for ``cu.sentences[i]``."""
+        for bits in range(1 << len(cu1.sentences)):
+            yield cu1, bits
+        rng = random.Random(12)
+        pool = range(len(cu2.sentences))
+        for _ in range(240):
+            yield cu2, sum(1 << i for i in rng.sample(pool, rng.randint(0, 6)))
+
+    def test_class_record_equals_the_formula_record(self, cu1, cu2):
+        for cu, bits in self._sets(cu1, cu2):
+            u, n = cu.universe, len(cu.classes)
+            gamma = InformationSet(
+                frozenset(s for i, s in enumerate(cu.sentences) if bits >> i & 1)
+            )
+            formulas = decision._Compiled(gamma, u)
+            classes = decision._ClassCompiled(bits & (1 << n) - 1, bits >> n, u)
+            for logic in LOGICS:
+                where = (logic, str(gamma))
+                assert decision._slice_masks(logic, classes) == decision._slice_masks(
+                    logic, formulas
+                ), where
+                # the dataclass compares every field, witness_formula included
+                assert decision._report(logic, classes) == inconsistency_report(
+                    logic, gamma, u
+                ), where
+                rule = decision._RULES[logic]
+                for s in cu.sentences:
+                    got = rule(classes, isinstance(s, Belief), models_of(s.body, u))
+                    assert got == decide(logic, gamma, s, u).rationale, (where, s)
+
+    def test_consequence_masks_reads_only_the_classes_of_the_bodies(self, u2):
+        # equivalent bodies that are not class representatives give the
+        # slice of the representatives
+        loose = parse_information_set("B: p & p\nB: q | q\nD: !(p | q)\nD: p & !p")
+        tight = parse_information_set("B: p\nB: q\nD: !p & !q\nD: false")
+        for logic in LOGICS:
+            assert decision.consequence_masks(
+                logic, loose, u2
+            ) == decision._slice_masks(logic, decision._Compiled(loose, u2))
+            assert decision.consequence_masks(
+                logic, loose, u2
+            ) == decision.consequence_masks(logic, tight, u2)

@@ -3,17 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from bdlogic import metatheory
+from bdlogic.closure import RULE_SETS, build_universe, readings_agree
+from bdlogic.decision import decide, inconsistency_report
 from bdlogic.metatheory import (
     REQUIRED_CASE_IDS,
     generate_information_set,
     run_suite,
 )
-from bdlogic.syntax import render_sentence
+from bdlogic.plcore import members
+from bdlogic.syntax import InformationSet, render_sentence
 
 # a light but representative slice — the full suite runs in the acceptance
 # gate and via `bdl meta`
@@ -119,17 +124,18 @@ FAILURE_REPORT_SHA256 = (
 
 
 def test_a_wrong_decision_procedure_is_reported(monkeypatch):
-    """Drive cases down their failure path with a broken ``consequences``.
+    """Drive cases down their failure path with a broken consequence slice.
 
     The mutant drops the first sentence (by rendering) from every gbd, bd
-    and bn slice.  Each case must fail with at most three counterexamples
-    while running exactly the checks, and writing exactly the summary, of
-    the unpatched run.
+    and bn slice.  The cases read slices as sentences, through
+    ``consequences``, and as class masks, through ``consequence_masks``
+    (``collapse-bn``, by way of ``_slice_classes``), so both are patched,
+    each dropping the same sentence.  Each case must fail with at most three
+    counterexamples while running exactly the checks, and writing exactly
+    the summary, of the unpatched run.
     """
-    from bdlogic import metatheory
-
     good = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
-    real = metatheory.consequences
+    real, real_masks = metatheory.consequences, metatheory.consequence_masks
 
     def mutant(logic, gamma, universe):
         cons = real(logic, gamma, universe)
@@ -137,7 +143,18 @@ def test_a_wrong_decision_procedure_is_reported(monkeypatch):
             return cons
         return cons - {min(cons, key=render_sentence)}
 
+    def mask_mutant(logic, gamma, universe):
+        slices = list(real_masks(logic, gamma, universe))
+        kept = [(k, c) for k in (0, 1) for c in members(slices[k])]
+        if logic == "wbd" or not kept:
+            return tuple(slices)
+        cu = build_universe(universe.n, universe.atoms)
+        k, c = min(kept, key=lambda kc: render_sentence(cu.sentence(kc[0] == 0, kc[1])))
+        slices[k] &= ~(1 << c)
+        return tuple(slices)
+
     monkeypatch.setattr(metatheory, "consequences", mutant)
+    monkeypatch.setattr(metatheory, "consequence_masks", mask_mutant)
     bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
     assert not bad.all_passed
     for ok, broken in zip(good.results, bad.results):
@@ -147,3 +164,76 @@ def test_a_wrong_decision_procedure_is_reported(monkeypatch):
         assert broken.summary == ok.summary, broken.case_id
     digest = hashlib.sha256(bad.to_json().encode()).hexdigest()
     assert digest == FAILURE_REPORT_SHA256
+
+
+def _formula_bprime_sweep(ctx):
+    """``bprime-counterexample-bd``'s sweep on ``InformationSet``s through
+    ``decide`` and ``inconsistency_report``, as the case ran before it
+    compiled class masks: the reference for ``metatheory._bprime_sweep``.
+    Violations come in set order, then f, then g ascending."""
+    cu2 = metatheory._cu(2)
+    u = cu2.universe
+    full = u.full_mask
+    violations = []
+    consistent_violations = consistent_sets = 0
+    small_sets = [
+        InformationSet(frozenset(combo))
+        for k in range(3)
+        for combo in itertools.combinations(cu2.sentences, k)
+    ]
+    for gamma in small_sets:
+        bel = [
+            c for c in range(full + 1)
+            if decide("bd", gamma, cu2.sentence(True, c), u).entailed
+        ]
+        consistent = not inconsistency_report("bd", gamma).combined_inconsistent
+        consistent_sets += consistent
+        ctx.checks += (full + 1) * len(bel)
+        for phi in range(full + 1):
+            if phi in bel:
+                continue
+            grown = gamma.union([cu2.sentence(False, phi)])
+            for psi in bel:
+                if decide("bd", grown, cu2.sentence(False, psi), u).entailed:
+                    violations.append((gamma, phi, psi))
+                    consistent_violations += consistent
+    return violations, consistent_sets, consistent_violations
+
+
+def test_bprime_sweep_matches_the_formula_level_sweep():
+    cu2 = metatheory._cu(2)
+    want_ctx = metatheory._Ctx(random.Random(0), "quick")
+    got_ctx = metatheory._Ctx(random.Random(0), "quick")
+    want = _formula_bprime_sweep(want_ctx)
+    violations, consistent_sets, consistent_violations = metatheory._bprime_sweep(
+        got_ctx, cu2
+    )
+    got = [(metatheory._set_of(cu2, bits), phi, psi) for bits, phi, psi in violations]
+    assert (got, consistent_sets, consistent_violations) == want
+    assert got_ctx.checks == want_ctx.checks
+    assert (len(got), consistent_sets, got_ctx.checks) == (3679, 391, 42784)
+
+
+def test_closure_sweep_records_match_readings_agree(cu1, cu2):
+    # the membership reading of bd under-derives on 1-atom sets, so the
+    # records of the mask-level comparison are exercised
+    side = (RULE_SETS["bd"], "membership")
+    sets = range(1 << len(cu1.sentences))
+    want = readings_agree(side, "bd", [metatheory._set_of(cu1, k) for k in sets], cu1)
+    assert want
+    assert list(metatheory._closure_disagreements(side, "bd", sets, cu1)) == want
+    rng = random.Random(4)
+    samples = [metatheory._sampled_bits(cu2, 4, rng) for _ in range(60)]
+    assert list(metatheory._closure_disagreements(side, "bd", samples, cu2)) == (
+        readings_agree(side, "bd", [metatheory._set_of(cu2, b) for b in samples], cu2)
+    )
+
+
+def test_sampled_bits_draw_what_sampling_the_sentences_draws(cu2):
+    a, b = random.Random(21), random.Random(21)
+    for _ in range(200):
+        bits = metatheory._sampled_bits(cu2, 4, a)
+        k = b.randint(0, 4)
+        assert metatheory._set_of(cu2, bits) == InformationSet(
+            frozenset(b.sample(cu2.sentences, k))
+        )
