@@ -17,6 +17,14 @@ followed by random 2-atom sets.  The samplers fix the order in which a
 case draws from its random generator, so a seed keeps selecting the same
 sets.
 
+A set of a closure universe's sentences is one int, bit i standing for
+``cu.sentences[i]`` (the beliefs by class, then the disbeliefs), and so is
+every consequence slice, read through ``_slice``; subsets, unions and
+projections are bit operations.  An ``InformationSet`` is built only for
+a failure message and for the formula-level checks whose independence is
+their point: the enumeration oracle, countermodels, model counts,
+universe extension and the parsed canonical witnesses.
+
 Reports are reproducible: the same ``(seed, scale)`` always runs the same
 checks and serializes to byte-identical canonical JSON (wall-clock timing
 is reported in the text rendering only and never serialized).
@@ -39,15 +47,13 @@ from .closure import (
     _close_classes,
     _disagreements,
     build_universe,
-    close,
-    readings_agree,
 )
 from .decision import (
     _RULES,
     _ClassCompiled,
     _combined_witness,
+    _report,
     _slice_masks,
-    consequence_masks,
     consequences,
     decide,
     inconsistency_report,
@@ -67,10 +73,7 @@ from .semantics import (
     satisfies,
 )
 from .syntax import (
-    Belief,
-    Disbelief,
     InformationSet,
-    Sentence,
     parse_information_set,
     parse_sentence,
     render_sentence,
@@ -204,25 +207,25 @@ class _Ctx:
 
     def sampled_sets(
         self, quick: int, full: int
-    ) -> Iterator[tuple[ClosureUniverse, InformationSet]]:
+    ) -> Iterator[tuple[ClosureUniverse, int]]:
         """``count(quick, full)`` random sets, each over one or two atoms.
 
-        Each draw picks the universe, then the set; whatever the caller
-        draws before asking for the next pair comes in between.
+        Each draw picks the universe, then the set (as bits); whatever the
+        caller draws before asking for the next pair comes in between.
         """
         for _ in range(self.count(quick, full)):
             cu = _cu(1) if self.rng.random() < 0.4 else _cu(2)
-            yield cu, generate_information_set(cu, 4, self.rng)
+            yield cu, _sampled_bits(cu, 4, self.rng)
 
     def one_then_two_atom_sets(
         self, quick: int, full: int
-    ) -> Iterator[tuple[ClosureUniverse, InformationSet]]:
+    ) -> Iterator[tuple[ClosureUniverse, int]]:
         """All 256 1-atom sets, then ``count(quick, full)`` random 2-atom sets."""
         cu1, cu2 = _cu(1), _cu(2)
-        for gamma in _all_n1_sets():
-            yield cu1, gamma
+        for bits in range(1 << len(cu1.sentences)):
+            yield cu1, bits
         for _ in range(self.count(quick, full)):
-            yield cu2, generate_information_set(cu2, 4, self.rng)
+            yield cu2, _sampled_bits(cu2, 4, self.rng)
 
 
 _CASES: dict[str, PropertyCase] = {}
@@ -262,13 +265,6 @@ def _cu(n: int) -> ClosureUniverse:
     return build_universe(n)
 
 
-# A set of sentences of a closure universe can also be given as one int,
-# bit i standing for ``cu.sentences[i]``: its low ``len(cu.classes)`` bits
-# are the belief classes and the rest the disbelief classes, bit c for
-# class c, so the class masks the decision kernel and the closure engine
-# take are read off without building the set.
-
-
 def _sampled_bits(cu: ClosureUniverse, max_size: int, rng: random.Random) -> int:
     """A uniform-size random subset of the universe's sentences, as bits.
 
@@ -279,6 +275,9 @@ def _sampled_bits(cu: ClosureUniverse, max_size: int, rng: random.Random) -> int
     return sum(1 << i for i in rng.sample(range(len(cu.sentences)), k))
 
 
+# Bounded so that the 256 1-atom sets the oracle cases sweep in every suite,
+# each sorted by rendering its sentences, stay memoized from suite to suite.
+@functools.lru_cache(maxsize=1024)
 def _set_of(cu: ClosureUniverse, bits: int) -> InformationSet:
     """The sentences of ``cu`` that ``bits`` stands for, as a set."""
     return InformationSet(frozenset(cu.sentences[i] for i in members(bits)))
@@ -290,17 +289,28 @@ def _split_bits(cu: ClosureUniverse, bits: int) -> tuple[int, int]:
     return bits & (1 << n) - 1, bits >> n
 
 
+def _kinds(cu: ClosureUniverse) -> tuple[int, int]:
+    """The bits of all the universe's beliefs and of all its disbeliefs."""
+    n = len(cu.classes)
+    return (1 << n) - 1, (1 << n) - 1 << n
+
+
+def _record(cu: ClosureUniverse, bits: int) -> _ClassCompiled:
+    """The decision kernel's record of the set ``bits`` stands for."""
+    return _ClassCompiled(*_split_bits(cu, bits), cu.universe)
+
+
+def _slice(logic: LogicId, cu: ClosureUniverse, bits: int) -> int:
+    """The set's ``logic`` consequences among ``cu.sentences``, as bits."""
+    b, d = _slice_masks(logic, _record(cu, bits))
+    return b | d << len(cu.classes)
+
+
 def generate_information_set(
     cu: ClosureUniverse, max_size: int, rng: random.Random
 ) -> InformationSet:
     """A uniform-size random subset of the universe's sentences."""
     return _set_of(cu, _sampled_bits(cu, max_size, rng))
-
-
-@functools.cache
-def _all_n1_sets() -> tuple[InformationSet, ...]:
-    """All 256 information sets over the 1-atom universe's 8 sentences."""
-    return tuple(_set_of(_cu(1), k) for k in range(1 << len(_cu(1).sentences)))
 
 
 def _fmt(gamma: InformationSet) -> str:
@@ -324,36 +334,15 @@ def _shrink(
     return gamma
 
 
-def _slice_classes(
-    logic: LogicId, gamma: InformationSet, u: AtomUniverse
-) -> tuple[set[int], set[int]]:
-    """The classes of Γ's believed and of its disbelieved consequences."""
-    bel, dis = consequence_masks(logic, gamma, u)
-    return set(members(bel)), set(members(dis))
-
-
-def _project(gamma: InformationSet, keep_beliefs: bool) -> InformationSet:
-    kept = gamma.beliefs if keep_beliefs else gamma.disbeliefs
-    return InformationSet(frozenset(kept))
-
-
 def _slice_is_stable(
-    logic: LogicId,
-    kind: type,
-    gamma: InformationSet,
-    extra: InformationSet,
-    u: AtomUniverse,
+    logic: LogicId, cu: ClosureUniverse, kind: int, bits: int, extra: int
 ) -> bool:
-    """Γ, Γ ∪ extra and Γ's projection onto ``kind`` entail the same
-    sentences of that kind."""
-
-    def kind_slice(g: InformationSet) -> frozenset[Sentence]:
-        return frozenset(s for s in consequences(logic, g, u) if isinstance(s, kind))
-
+    """Γ, Γ ∪ extra and Γ's projection onto ``kind`` (the bits of all
+    beliefs or of all disbeliefs) entail the same sentences of that kind."""
     return (
-        kind_slice(gamma)
-        == kind_slice(gamma.union(extra))
-        == kind_slice(_project(gamma, kind is Belief))
+        _slice(logic, cu, bits) & kind
+        == _slice(logic, cu, bits | extra) & kind
+        == _slice(logic, cu, bits & kind) & kind
     )
 
 
@@ -373,8 +362,8 @@ def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
             logic, gamma, u
         )
 
-    for cu, gamma in ctx.one_then_two_atom_sets(120, 500):
-        u = cu.universe
+    for cu, bits in ctx.one_then_two_atom_sets(120, 500):
+        u, gamma = cu.universe, _set_of(cu, bits)
         ctx.check(
             not disagrees(gamma, u),
             lambda: f"Γ={_fmt(_shrink(gamma, lambda g: disagrees(g, u)))} "
@@ -398,21 +387,23 @@ def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
     logics=LOGICS,
 )
 def _tarskian(ctx: _Ctx, logic: LogicId) -> str:
-    for cu, gamma in ctx.sampled_sets(60, 250):
-        u = cu.universe
-        cons = consequences(logic, gamma, u)
+    rule = _RULES[logic]
+    for cu, bits in ctx.sampled_sets(60, 250):
+        cons = _slice(logic, cu, bits)
+        record, n = _record(cu, bits), len(cu.classes)
         ctx.check(
-            all(decide(logic, gamma, s, u).entailed for s in gamma),
-            lambda: f"inclusion fails: Γ={_fmt(gamma)}",
+            all(rule(record, i < n, i % n) is not None for i in members(bits)),
+            lambda: f"inclusion fails: Γ={_fmt(_set_of(cu, bits))}",
         )
-        delta = generate_information_set(cu, 2, ctx.rng)
+        delta = _sampled_bits(cu, 2, ctx.rng)
         ctx.check(
-            cons <= consequences(logic, gamma.union(delta), u),
-            lambda: f"monotonicity fails: Γ={_fmt(gamma)}, Δ={_fmt(delta)}",
+            cons & ~_slice(logic, cu, bits | delta) == 0,
+            lambda: f"monotonicity fails: Γ={_fmt(_set_of(cu, bits))}, "
+            f"Δ={_fmt(_set_of(cu, delta))}",
         )
         ctx.check(
-            consequences(logic, InformationSet(frozenset(cons)), u) == cons,
-            lambda: f"idempotency fails: Γ={_fmt(gamma)}",
+            _slice(logic, cu, cons) == cons,
+            lambda: f"idempotency fails: Γ={_fmt(_set_of(cu, bits))}",
         )
     return (
         f"inclusion, monotonicity, and idempotency of the consequence "
@@ -430,17 +421,17 @@ def _tarskian(ctx: _Ctx, logic: LogicId) -> str:
     logics=("wbd", "gbd"),
 )
 def _decoupling(ctx: _Ctx, logic: LogicId) -> str:
-    for cu, gamma in ctx.sampled_sets(60, 250):
-        u = cu.universe
-        extra_b = _project(generate_information_set(cu, 2, ctx.rng), True)
-        extra_d = _project(generate_information_set(cu, 2, ctx.rng), False)
+    for cu, bits in ctx.sampled_sets(60, 250):
+        beliefs, disbeliefs = _kinds(cu)
+        extra_b = _sampled_bits(cu, 2, ctx.rng) & beliefs
+        extra_d = _sampled_bits(cu, 2, ctx.rng) & disbeliefs
         ctx.check(
-            _slice_is_stable(logic, Disbelief, gamma, extra_b, u),
-            lambda: f"beliefs leak into disbeliefs: Γ={_fmt(gamma)}",
+            _slice_is_stable(logic, cu, disbeliefs, bits, extra_b),
+            lambda: f"beliefs leak into disbeliefs: Γ={_fmt(_set_of(cu, bits))}",
         )
         ctx.check(
-            _slice_is_stable(logic, Belief, gamma, extra_d, u),
-            lambda: f"disbeliefs leak into beliefs: Γ={_fmt(gamma)}",
+            _slice_is_stable(logic, cu, beliefs, bits, extra_d),
+            lambda: f"disbeliefs leak into beliefs: Γ={_fmt(_set_of(cu, bits))}",
         )
     return (
         f"belief verdicts depend only on beliefs and disbelief verdicts "
@@ -458,23 +449,23 @@ def _decoupling(ctx: _Ctx, logic: LogicId) -> str:
     "influence disbelief verdicts",
 )
 def _belief_to_disbelief(ctx: _Ctx) -> str:
-    for cu, gamma in ctx.sampled_sets(80, 300):
-        u = cu.universe
-        bel, dis = _slice_classes("bd", gamma, u)
-        full = u.full_mask
+    for cu, bits in ctx.sampled_sets(80, 300):
+        full = cu.universe.full_mask
+        bel, dis = _split_bits(cu, _slice("bd", cu, bits))
         for c in range(full + 1):
             ctx.check(
-                (full & ~c) not in bel or c in dis,
-                lambda: f"B: !f without D: f: Γ={_fmt(gamma)}, class {c:#x}",
+                not (bel >> (full & ~c) & 1) or dis >> c & 1 == 1,
+                lambda: f"B: !f without D: f: Γ={_fmt(_set_of(cu, bits))}, "
+                f"class {c:#x}",
             )
 
     # the influence direction is real: dropping the beliefs loses disbeliefs
-    witness = parse_information_set("B: !p")
-    u1 = _cu(1).universe
-    _, dis_full = _slice_classes("bd", witness, u1)
-    _, dis_proj = _slice_classes("bd", _project(witness, False), u1)
+    cu1 = _cu(1)
+    witness = 1 << (cu1.universe.full_mask & ~cu1.universe.atom_mask("p"))  # {B: !p}
+    dis_full = _slice("bd", cu1, witness) >> len(cu1.classes)
+    dis_proj = _slice("bd", cu1, witness & _kinds(cu1)[1]) >> len(cu1.classes)
     ctx.check(
-        dis_proj < dis_full,
+        dis_proj & ~dis_full == 0 and dis_proj != dis_full,
         lambda: "expected Γ={B: !p} to disbelieve more than its projection",
     )
     return (
@@ -489,11 +480,12 @@ def _belief_to_disbelief(ctx: _Ctx) -> str:
     "in bd belief verdicts never depend on the disbeliefs",
 )
 def _disbelief_not_to_belief(ctx: _Ctx) -> str:
-    for cu, gamma in ctx.sampled_sets(80, 300):
-        extra_d = _project(generate_information_set(cu, 2, ctx.rng), False)
+    for cu, bits in ctx.sampled_sets(80, 300):
+        beliefs, disbeliefs = _kinds(cu)
+        extra_d = _sampled_bits(cu, 2, ctx.rng) & disbeliefs
         ctx.check(
-            _slice_is_stable("bd", Belief, gamma, extra_d, cu.universe),
-            lambda: f"Γ={_fmt(gamma)}, Δ={_fmt(extra_d)}",
+            _slice_is_stable("bd", cu, beliefs, bits, extra_d),
+            lambda: f"Γ={_fmt(_set_of(cu, bits))}, Δ={_fmt(_set_of(cu, extra_d))}",
         )
     return f"belief slice is stable under disbelief changes ({ctx.checks} checks)"
 
@@ -509,13 +501,15 @@ def _disbelief_not_to_belief(ctx: _Ctx) -> str:
 )
 def _inconsistency_collapse(ctx: _Ctx) -> str:
     converse_witnesses = 0
-    for _, gamma in ctx.one_then_two_atom_sets(80, 300):
-        rep = inconsistency_report("bd", gamma)
+    for cu, bits in ctx.one_then_two_atom_sets(80, 300):
+        rep = _report("bd", _record(cu, bits))
         ctx.checks += 1
         if rep.combined_inconsistent != rep.d_inconsistent:
-            ctx.fail(f"combined != d-inconsistent: Γ={_fmt(gamma)}")
+            ctx.fail(f"combined != d-inconsistent: Γ={_fmt(_set_of(cu, bits))}")
         if rep.b_inconsistent and not rep.combined_inconsistent:
-            ctx.fail(f"b-inconsistent but combined-consistent: Γ={_fmt(gamma)}")
+            ctx.fail(
+                f"b-inconsistent but combined-consistent: Γ={_fmt(_set_of(cu, bits))}"
+            )
         converse_witnesses += rep.combined_inconsistent and not rep.b_inconsistent
 
     rep = inconsistency_report("bd", parse_information_set("B: p\nD: p"))
@@ -609,14 +603,13 @@ def _bprime_counterexample(ctx: _Ctx) -> str:
     "in bn, disbelieving f is exactly believing !f",
 )
 def _collapse_bn(ctx: _Ctx) -> str:
-    for cu, gamma in ctx.one_then_two_atom_sets(80, 300):
-        u = cu.universe
-        bel, dis = _slice_classes("bn", gamma, u)
-        full = u.full_mask
+    for cu, bits in ctx.one_then_two_atom_sets(80, 300):
+        full = cu.universe.full_mask
+        bel, dis = _split_bits(cu, _slice("bn", cu, bits))
         for c in range(full + 1):
             ctx.check(
-                (c in dis) == ((full & ~c) in bel),
-                lambda: f"Γ={_fmt(gamma)}, class {c:#x}",
+                dis >> c & 1 == bel >> (full & ~c) & 1,
+                lambda: f"Γ={_fmt(_set_of(cu, bits))}, class {c:#x}",
             )
     return f"D: f <-> B: !f across the consequence slice ({ctx.checks} checks)"
 
@@ -633,13 +626,12 @@ def _collapse_bn(ctx: _Ctx) -> str:
 )
 def _dvee_polarity(ctx: _Ctx) -> str:
     # gbd: holds on samples
-    for cu, gamma in ctx.sampled_sets(60, 200):
-        u = cu.universe
-        _, dis = _slice_classes("gbd", gamma, u)
-        for f, g in itertools.product(sorted(dis), repeat=2):
+    for cu, bits in ctx.sampled_sets(60, 200):
+        _, dis = _split_bits(cu, _slice("gbd", cu, bits))
+        for f, g in itertools.product(members(dis), repeat=2):
             ctx.check(
-                (f | g) in dis,
-                lambda: f"gbd: Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}",
+                dis >> (f | g) & 1 == 1,
+                lambda: f"gbd: Γ={_fmt(_set_of(cu, bits))}, f={f:#x}, g={g:#x}",
             )
 
     # wbd and bd: the canonical two-disbelief witness breaks it
@@ -676,16 +668,15 @@ def _dvee_polarity(ctx: _Ctx) -> str:
     "disbelieving f",
 )
 def _rej_gbd(ctx: _Ctx) -> str:
-    for cu, gamma in ctx.sampled_sets(60, 250):
-        u = cu.universe
-        full = u.full_mask
-        _, dis = _slice_classes("gbd", gamma, u)
+    for cu, bits in ctx.sampled_sets(60, 250):
+        full = cu.universe.full_mask
+        _, dis = _split_bits(cu, _slice("gbd", cu, bits))
         for f in range(full + 1):
-            for g in sorted(dis):
+            for g in members(dis):
                 neg_imp = f & (full & ~g)  # class of !(f -> g)
                 ctx.check(
-                    neg_imp not in dis or f in dis,
-                    lambda: f"Γ={_fmt(gamma)}, f={f:#x}, g={g:#x}",
+                    not (dis >> neg_imp & 1) or dis >> f & 1 == 1,
+                    lambda: f"Γ={_fmt(_set_of(cu, bits))}, f={f:#x}, g={g:#x}",
                 )
     return f"rejection detachment holds across gbd slices ({ctx.checks} checks)"
 
@@ -714,16 +705,18 @@ def _agnosticism(ctx: _Ctx) -> str:
     "beliefs untouched",
 )
 def _top_disbelief(ctx: _Ctx) -> str:
-    top_d = parse_sentence("D: true")
-    for cu, gamma in ctx.sampled_sets(60, 250):
-        u = cu.universe
-        bel_grown, dis_grown = _slice_classes("bd", gamma.union([top_d]), u)
+    for cu, bits in ctx.sampled_sets(60, 250):
+        beliefs, disbeliefs = _kinds(cu)
+        top_d = 1 << len(cu.classes) + cu.universe.full_mask  # D: true
+        grown = _slice("bd", cu, bits | top_d)
         ctx.check(
-            len(dis_grown) == u.full_mask + 1,
-            lambda: f"not all disbeliefs derivable: Γ={_fmt(gamma)}",
+            grown & disbeliefs == disbeliefs,
+            lambda: f"not all disbeliefs derivable: Γ={_fmt(_set_of(cu, bits))}",
         )
-        bel_base, _ = _slice_classes("bd", gamma, u)
-        ctx.check(bel_base == bel_grown, lambda: f"beliefs changed: Γ={_fmt(gamma)}")
+        ctx.check(
+            _slice("bd", cu, bits) & beliefs == grown & beliefs,
+            lambda: f"beliefs changed: Γ={_fmt(_set_of(cu, bits))}",
+        )
     return f"D: true saturates disbelief and preserves belief ({ctx.checks} checks)"
 
 
@@ -749,13 +742,12 @@ def _lottery_consistency(ctx: _Ctx) -> str:
     "which are mutually incomparable",
 )
 def _strength_ordering(ctx: _Ctx) -> str:
-    for cu, gamma in ctx.one_then_two_atom_sets(60, 200):
-        u = cu.universe
-        weak = consequences("wbd", gamma, u)
+    for cu, bits in ctx.one_then_two_atom_sets(60, 200):
+        weak = _slice("wbd", cu, bits)
         for logic in ("gbd", "bd"):
             ctx.check(
-                weak <= consequences(logic, gamma, u),
-                lambda: f"wbd ⊄ {logic}: Γ={_fmt(gamma)}",
+                weak & ~_slice(logic, cu, bits) == 0,
+                lambda: f"wbd ⊄ {logic}: Γ={_fmt(_set_of(cu, bits))}",
             )
 
     u2 = _cu(2).universe
@@ -804,11 +796,9 @@ def _closure_disagreements(
     differ, for the records.
     """
     rules, reading = side
-    n = len(cu.classes)
     for bits in sets:
-        sb, sd = _split_bits(cu, bits)
-        b, d = _slice_masks(logic, _ClassCompiled(sb, sd, cu.universe))
-        left, right = _close_classes(rules, reading, sb, sd, cu), b | d << n
+        left = _close_classes(rules, reading, *_split_bits(cu, bits), cu)
+        right = _slice(logic, cu, bits)
         if left != right:
             yield from _disagreements(_set_of(cu, bits), left, right, cu)
 
@@ -899,19 +889,22 @@ def _reading_gap(
     Γ={B: !p}; the repaired rules match ``logic`` on each set they got
     wrong.  ``note`` ends the summary, ``{gaps}`` counting those sets."""
     cu1 = _cu(1)
-    records = readings_agree(stated, logic, _all_n1_sets(), cu1)
-    ctx.checks += 256 * len(cu1.sentences)
+    sets = range(1 << len(cu1.sentences))
+    records = list(_closure_disagreements(stated, logic, sets, cu1))
+    ctx.checks += len(sets) * len(cu1.sentences)
     overshoot = [r for r in records if r.in_a]
     if overshoot:
         ctx.fail(over_derives(overshoot[0]))
     witness = (parse_information_set("B: !p"), parse_sentence("D: p"))
     if witness not in {(r.gamma, r.sentence) for r in records}:
         ctx.fail("witness (Γ={B: !p}, D: p) not found in the gap")
-    gap_sets = {r.gamma for r in records}
-    still = readings_agree(repaired, logic, sorted(gap_sets, key=_fmt), cu1)
-    ctx.checks += len(gap_sets) * len(cu1.sentences)
-    if still:
-        ctx.fail(f"{still_differs}: {still[0].render()}")
+    # each set's sentences are the universe's own, so their indices are its bits
+    gap_sets = sorted({r.gamma for r in records}, key=_fmt)
+    gaps = [sum(1 << cu1.sentences.index(s) for s in g) for g in gap_sets]
+    still = next(_closure_disagreements(repaired, logic, gaps, cu1), None)
+    ctx.checks += len(gaps) * len(cu1.sentences)
+    if still is not None:
+        ctx.fail(f"{still_differs}: {still.render()}")
     return "fails-as-stated; witness Γ={B: !p} misses D: p " + note.format(
         gaps=len(gap_sets)
     )
@@ -924,12 +917,13 @@ def _reading_gap(
     expectation="fails-with-witness",
 )
 def _d_inconsistency_readings(ctx: _Ctx) -> str:
+    cu1 = _cu(1)
     literal_misses = 0
-    for gamma in _all_n1_sets():
-        rep = inconsistency_report("bd", gamma)
+    for bits in range(1 << len(cu1.sentences)):
+        rep = _report("bd", _record(cu1, bits))
         ctx.check(
             rep.d_inconsistent == rep.combined_inconsistent,
-            lambda: f"full reading diverges: Γ={_fmt(gamma)}",
+            lambda: f"full reading diverges: Γ={_fmt(_set_of(cu1, bits))}",
         )
         literal_misses += rep.combined_inconsistent and not rep.d_inconsistent_literal
     rep = inconsistency_report("bd", parse_information_set("B: p\nD: p"))
@@ -954,18 +948,21 @@ def _d_inconsistency_readings(ctx: _Ctx) -> str:
 )
 def _bprime_derived_rule(ctx: _Ctx) -> str:
     with_bp = RULE_SETS["bd"] | {Rule.BPrime}
-    for cu, gamma in ctx.sampled_sets(50, 150):
-        if inconsistency_report("bd", gamma).combined_inconsistent:
+    for cu, bits in ctx.sampled_sets(50, 150):
+        if _combined_witness("bd", _record(cu, bits)) is not None:
             continue
+        sb, sd = _split_bits(cu, bits)
         ctx.check(
-            close(with_bp, "derivability", gamma, cu)
-            == close(RULE_SETS["bd"], "derivability", gamma, cu),
-            lambda: f"consistent set grew: Γ={_fmt(gamma)}",
+            _close_classes(with_bp, "derivability", sb, sd, cu)
+            == _close_classes(RULE_SETS["bd"], "derivability", sb, sd, cu),
+            lambda: f"consistent set grew: Γ={_fmt(_set_of(cu, bits))}",
         )
-    canonical = parse_information_set("B: q\nD: q")
+    cu2 = _cu(2)
+    q = cu2.universe.atom_mask("q")  # Γ={B: q; D: q}, as belief and disbelief classes
+    base = _close_classes(RULE_SETS["bd"], "derivability", 1 << q, 1 << q, cu2)
+    grown = _close_classes(with_bp, "derivability", 1 << q, 1 << q, cu2)
     ctx.check(
-        close(RULE_SETS["bd"], "derivability", canonical, _cu(2))
-        < close(with_bp, "derivability", canonical, _cu(2)),
+        base & ~grown == 0 and base != grown,
         lambda: "Γ={B: q; D: q} should gain sentences from the extra rule",
     )
     return (
@@ -987,8 +984,8 @@ def _bprime_derived_rule(ctx: _Ctx) -> str:
 def _countermodel_validity(ctx: _Ctx) -> str:
     built = 0
     logics = itertools.cycle(("wbd", "gbd", "bd"))
-    for logic, (cu, gamma) in zip(logics, ctx.sampled_sets(80, 300)):
-        u = cu.universe
+    for logic, (cu, bits) in zip(logics, ctx.sampled_sets(80, 300)):
+        u, gamma = cu.universe, _set_of(cu, bits)
         alpha = ctx.rng.choice(cu.sentences)
         ctx.checks += 1
         if decide(logic, gamma, alpha, u).entailed:

@@ -5,20 +5,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import random
 
 import pytest
 
 from bdlogic import metatheory
-from bdlogic.closure import RULE_SETS, build_universe, readings_agree
-from bdlogic.decision import decide, inconsistency_report
+from bdlogic.closure import RULE_SETS, readings_agree
+from bdlogic.decision import _report, consequences, decide, inconsistency_report
 from bdlogic.metatheory import (
     REQUIRED_CASE_IDS,
+    PropertyReport,
     generate_information_set,
     run_suite,
 )
 from bdlogic.plcore import members
 from bdlogic.syntax import InformationSet, render_sentence
+from bdlogic.verdicts import LOGICS
 
 # a light but representative slice — the full suite runs in the acceptance
 # gate and via `bdl meta`
@@ -86,6 +89,18 @@ def test_canonical_payload_has_no_timing(cu1):
     assert json.dumps(data, indent=2, sort_keys=True) == blob
 
 
+def test_per_case_reports_reassemble_the_suite():
+    # the benchmark runs the suite one case at a time and reassembles it
+    whole = run_suite(seed=7, scale="quick")
+    parts = tuple(
+        part
+        for r in whole.results
+        for part in run_suite(seed=7, scale="quick", case_ids=[r.case_id]).results
+    )
+    assembled = PropertyReport(seed=7, scale="quick", results=parts)
+    assert assembled.to_json() == whole.to_json()
+
+
 def test_text_report_shape():
     report = run_suite(seed=5, scale="quick", case_ids=SMOKE_CASES)
     text = report.to_text()
@@ -126,35 +141,23 @@ FAILURE_REPORT_SHA256 = (
 def test_a_wrong_decision_procedure_is_reported(monkeypatch):
     """Drive cases down their failure path with a broken consequence slice.
 
-    The mutant drops the first sentence (by rendering) from every gbd, bd
-    and bn slice.  The cases read slices as sentences, through
-    ``consequences``, and as class masks, through ``consequence_masks``
-    (``collapse-bn``, by way of ``_slice_classes``), so both are patched,
-    each dropping the same sentence.  Each case must fail with at most three
+    Every case reads its slices through ``_slice``, so the mutant patches
+    that one function: it drops the first sentence (by rendering) from
+    every gbd, bd and bn slice.  Each case must fail with at most three
     counterexamples while running exactly the checks, and writing exactly
     the summary, of the unpatched run.
     """
     good = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
-    real, real_masks = metatheory.consequences, metatheory.consequence_masks
+    real = metatheory._slice
 
-    def mutant(logic, gamma, universe):
-        cons = real(logic, gamma, universe)
+    def mutant(logic, cu, bits):
+        cons = real(logic, cu, bits)
         if logic == "wbd" or not cons:
             return cons
-        return cons - {min(cons, key=render_sentence)}
+        first = min(members(cons), key=lambda i: render_sentence(cu.sentences[i]))
+        return cons & ~(1 << first)
 
-    def mask_mutant(logic, gamma, universe):
-        slices = list(real_masks(logic, gamma, universe))
-        kept = [(k, c) for k in (0, 1) for c in members(slices[k])]
-        if logic == "wbd" or not kept:
-            return tuple(slices)
-        cu = build_universe(universe.n, universe.atoms)
-        k, c = min(kept, key=lambda kc: render_sentence(cu.sentence(kc[0] == 0, kc[1])))
-        slices[k] &= ~(1 << c)
-        return tuple(slices)
-
-    monkeypatch.setattr(metatheory, "consequences", mutant)
-    monkeypatch.setattr(metatheory, "consequence_masks", mask_mutant)
+    monkeypatch.setattr(metatheory, "_slice", mutant)
     bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
     assert not bad.all_passed
     for ok, broken in zip(good.results, bad.results):
@@ -237,3 +240,28 @@ def test_sampled_bits_draw_what_sampling_the_sentences_draws(cu2):
         assert metatheory._set_of(cu2, bits) == InformationSet(
             frozenset(b.sample(cu2.sentences, k))
         )
+
+
+def test_slice_and_report_match_the_formula_level_entry_points(cu1, cu2):
+    """``_slice`` is ``consequences`` as bits, and ``_report`` on the class
+    record has the flags of ``inconsistency_report``, which compiles the set
+    over its own atoms only: the cases rely on both."""
+    rng = random.Random(13)
+    sets = [(cu1, bits) for bits in range(1 << len(cu1.sentences))] + [
+        (cu2, metatheory._sampled_bits(cu2, 4, rng)) for _ in range(60)
+    ]
+    flags = operator.attrgetter(
+        "b_inconsistent",
+        "d_inconsistent",
+        "d_inconsistent_literal",
+        "combined_inconsistent",
+    )
+    for logic in LOGICS:
+        for cu, bits in sets:
+            gamma = metatheory._set_of(cu, bits)
+            cons = consequences(logic, gamma, cu.universe)
+            want = sum(1 << cu.sentences.index(s) for s in cons)
+            assert metatheory._slice(logic, cu, bits) == want, (logic, gamma)
+            got = _report(logic, metatheory._record(cu, bits))
+            want_flags = flags(inconsistency_report(logic, gamma))
+            assert flags(got) == want_flags, (logic, gamma)
