@@ -45,7 +45,7 @@ from enum import Enum
 from typing import Iterable, Literal, Union
 
 from .decision import consequence_masks
-from .plcore import AtomUniverse, formula_for_class, members, models_of
+from .plcore import AtomUniverse, _classes_of, formula_for_class, members
 from .syntax import (
     Belief,
     Disbelief,
@@ -372,9 +372,7 @@ def _close_bits(
     cu: ClosureUniverse,
 ) -> int:
     """:func:`close` as bits, bit i standing for ``cu.sentences[i]``."""
-    sb = _union(1 << models_of(body, cu.universe) for body in gamma.belief_bodies)
-    sd = _union(1 << models_of(body, cu.universe) for body in gamma.disbelief_bodies)
-    return _close_classes(rules, reading, sb, sd, cu)
+    return _close_classes(rules, reading, *_classes_of(gamma, cu.universe), cu)
 
 
 def close(

@@ -15,20 +15,23 @@ logic     belief ``B: f``          disbelief ``D: f``
 ``bn``    ``G_B, ~G_D |= f``       ``G_B, ~G_D |= !f``
 ========  =======================  ==========================================
 
-These closed forms are validated against the brute-force model oracle and
-the rule-closure engine by the metatheory suite; they are not trusted on
-their own.
+Each logic is one rule over one record of a set's masks: the models of
+``G_B`` and of ``~G_D`` and of each disbelieved formula.  The record is built
+whole, from the set's formulas or from its class masks.  These closed forms
+are validated against the brute-force model oracle and the rule-closure
+engine by the metatheory suite; they are not trusted on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
-from operator import and_, or_
+from functools import reduce
+from operator import and_, itemgetter, or_
 from typing import Callable, Optional
 
 from .plcore import (
     AtomUniverse,
+    _classes_of,
     conjunction_mask,
     formula_for_class,
     members,
@@ -64,92 +67,58 @@ __all__ = [
 CONSEQUENCE_UNIVERSE_LIMIT = 2
 
 
+@dataclass
 class _Compiled:
-    """``gamma`` over one universe, as the masks the rules read.
+    """A set over one universe, as the masks the rules read.
 
-    Each mask is computed when a rule first reads it, so a ``B:`` query
-    under wbd/gbd/bd never evaluates a disbelieved formula.
+    :func:`_compile` builds it from the set's formulas and
+    :func:`_class_record` from class masks; both set every field at once.
     """
 
-    def __init__(self, gamma: InformationSet, universe: AtomUniverse):
-        self.gamma = gamma
-        self.universe = universe
-
-    @property
-    def belief_bodies(self) -> tuple[Formula, ...]:
-        """The believed formulas, in rendering order."""
-        return self.gamma.belief_bodies
-
-    @cached_property
-    def beliefs(self) -> int:
-        """Models of ``G_B``."""
-        return conjunction_mask(self.gamma.belief_bodies, self.universe)
-
-    @cached_property
-    def dual(self) -> int:
-        """Models of ``~G_D``."""
-        return conjunction_mask(self.gamma.dual_bodies, self.universe)
-
-    @cached_property
-    def witnesses(self) -> list[tuple[int, Formula]]:
-        """Disbelieved bodies by model-set mask, ties in rendering order.
-
-        ``disbelief_bodies`` is already in rendering order and the sort is
-        stable, so equal masks keep it without rendering again.
-        """
-        u = self.universe
-        keyed = [(models_of(body, u), body) for body in self.gamma.disbelief_bodies]
-        return sorted(keyed, key=lambda item: item[0])
-
-    @cached_property
-    def projection(self) -> _Projection:
-        """The record of ``gamma``'s disbelief projection."""
-        return _Projection(self)
+    universe: AtomUniverse
+    beliefs: int  # models of ``G_B``
+    # the disbelieved bodies with their masks, by mask, ties in rendering order
+    witnesses: list[tuple[int, Formula]]
+    dual: int  # models of ``~G_D``
+    belief_bodies: tuple[Formula, ...]
 
 
-class _ClassCompiled(_Compiled):
-    """The set with belief classes ``sb`` and disbelief classes ``sd`` (bit
-    c for class c), each class's body its representative
+def _compile(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
+    """``gamma``'s record, each body evaluated once.
+
+    ``disbelief_bodies`` is already in rendering order and the sort is
+    stable, so witnesses with equal masks keep it without rendering again.
+    """
+    witnesses = sorted(
+        ((models_of(body, universe), body) for body in gamma.disbelief_bodies),
+        key=itemgetter(0),
+    )
+    return _Compiled(
+        universe,
+        conjunction_mask(gamma.belief_bodies, universe),
+        witnesses,
+        universe.full_mask & ~reduce(or_, (mask for mask, _ in witnesses), 0),
+        gamma.belief_bodies,
+    )
+
+
+def _class_record(sb: int, sd: int, universe: AtomUniverse) -> _Compiled:
+    """The record of the set with belief classes ``sb`` and disbelief classes
+    ``sd`` (bit c for class c), each class's body its representative
     :func:`formula_for_class`.
 
-    For a set of class representatives it holds what the record compiled
-    from the set's formulas holds, with no formula evaluated.  The masks
-    cost a few bit operations, so they are set at once; the disbelieved
-    classes are the witnesses, in ascending order.
+    For a set of class representatives it equals the record compiled from
+    the set's formulas, but no formula is evaluated or rendered: the masks
+    are the classes themselves, in ascending order.
     """
-
-    def __init__(self, sb: int, sd: int, universe: AtomUniverse):
-        self.sb = sb
-        self.universe = universe
-        full = universe.full_mask
-        self.beliefs = reduce(and_, members(sb), full)
-        self.dual = full & ~reduce(or_, members(sd), 0)
-        self.witnesses = [(c, formula_for_class(c, universe)) for c in members(sd)]
-
-    @cached_property
-    def belief_bodies(self) -> tuple[Formula, ...]:  # type: ignore[override]
-        bodies = (formula_for_class(c, self.universe) for c in members(self.sb))
-        return tuple(sorted(bodies, key=render_formula))
-
-
-class _Projection:
-    """The disbelief projection of a compiled ``gamma``, as the rules read it.
-
-    It has no beliefs and the same disbeliefs, so it reads ``witnesses`` and
-    ``dual`` from ``gamma``'s record instead of evaluating them again.
-    """
-
-    def __init__(self, whole: _Compiled):
-        self.whole = whole
-        self.beliefs = whole.universe.full_mask
-
-    @property
-    def dual(self) -> int:
-        return self.whole.dual
-
-    @property
-    def witnesses(self) -> list[tuple[int, Formula]]:
-        return self.whole.witnesses
+    full = universe.full_mask
+    return _Compiled(
+        universe,
+        reduce(and_, members(sb), full),
+        [(c, formula_for_class(c, universe)) for c in members(sd)],
+        full & ~reduce(or_, members(sd), 0),
+        tuple(formula_for_class(c, universe) for c in members(sb)),
+    )
 
 
 # The last record handed out, as one (gamma, universe, record) tuple.  It is
@@ -165,7 +134,7 @@ def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
     last = _last_compiled
     if last is not None and last[0] is gamma and last[1] is universe:
         return last[2]
-    record = _Compiled(gamma, universe)
+    record = _compile(gamma, universe)
     _last_compiled = (gamma, universe, record)
     return record
 
@@ -175,6 +144,15 @@ def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
 
 _BELIEVED = Rationale("B", description="classical consequence of the beliefs")
 _UNSATISFIABLE = Rationale("DBot", description="the queried formula is unsatisfiable")
+_DUAL_REFUTES = Rationale(
+    "GD", description="the negated disbeliefs jointly refute the query"
+)
+_BELIEFS_REFUTE = Rationale(
+    "BtoD", description="the beliefs classically refute the query"
+)
+_POOL_ENTAILS = Rationale(
+    "BN", description="consequence of the beliefs plus the negated disbeliefs"
+)
 
 
 def _belief_rule(c: _Compiled, mask: int) -> Optional[Rationale]:
@@ -199,11 +177,7 @@ def _rule_wbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
 def _rule_gbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
     if belief:
         return _belief_rule(c, mask)
-    if c.dual & mask == 0:
-        return Rationale(
-            "GD", description="the negated disbeliefs jointly refute the query"
-        )
-    return None
+    return _DUAL_REFUTES if c.dual & mask == 0 else None
 
 
 def _rule_bd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
@@ -212,7 +186,7 @@ def _rule_bd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
     if mask == 0:
         return _UNSATISFIABLE
     if c.beliefs & mask == 0:
-        return Rationale("BtoD", description="the beliefs classically refute the query")
+        return _BELIEFS_REFUTE
     for witness, body in c.witnesses:
         if c.beliefs & mask & ~witness == 0:
             return Rationale(
@@ -225,11 +199,7 @@ def _rule_bd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
 
 def _rule_bn(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
     pool = c.beliefs & c.dual
-    if pool & (~mask if belief else mask) == 0:
-        return Rationale(
-            "BN", description="consequence of the beliefs plus the negated disbeliefs"
-        )
-    return None
+    return _POOL_ENTAILS if pool & (~mask if belief else mask) == 0 else None
 
 
 _RULES: dict[LogicId, Callable[[_Compiled, bool, int], Optional[Rationale]]] = {
@@ -346,7 +316,7 @@ def _combined_witness(logic: LogicId, c: _Compiled) -> Optional[Formula]:
         candidates.append((0, Bottom()))
     if logic == "gbd" and beliefs & c.dual == 0:
         merged: Formula = Top()
-        for body in c.belief_bodies:
+        for body in sorted(c.belief_bodies, key=render_formula):
             merged = body if isinstance(merged, Top) else And(merged, body)
         candidates.append((beliefs, merged))
     if not candidates:
@@ -372,8 +342,9 @@ def _report(logic: LogicId, compiled: _Compiled) -> InconsistencyReport:
     rule, full = _RULES[logic], compiled.universe.full_mask
     # D: true, whose mask is the full one
     d_inconsistent = rule(compiled, False, full) is not None
-    projection = compiled.projection
-    d_literal = rule(projection, False, full) is not None  # type: ignore[arg-type]
+    # the disbelief projection: no beliefs, gamma's witnesses and dual
+    projection = replace(compiled, beliefs=full, belief_bodies=())
+    d_literal = rule(projection, False, full) is not None
     witness = _combined_witness(logic, compiled)
     return InconsistencyReport(
         logic=logic,
@@ -414,13 +385,8 @@ def consequence_masks(
             f"consequence enumeration supports at most {CONSEQUENCE_UNIVERSE_LIMIT} "
             f"atoms, got {universe.n}"
         )
-    sb = sd = 0
-    for s in gamma.sentences:
-        if isinstance(s, Belief):
-            sb |= 1 << models_of(s.body, universe)
-        else:
-            sd |= 1 << models_of(s.body, universe)
-    return _slice_masks(logic, _ClassCompiled(sb, sd, universe))
+    sb, sd = _classes_of(gamma, universe)
+    return _slice_masks(logic, _class_record(sb, sd, universe))
 
 
 def consequences(

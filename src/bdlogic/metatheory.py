@@ -50,7 +50,8 @@ from .closure import (
 )
 from .decision import (
     _RULES,
-    _ClassCompiled,
+    _Compiled,
+    _class_record,
     _combined_witness,
     _report,
     _slice_masks,
@@ -295,9 +296,9 @@ def _kinds(cu: ClosureUniverse) -> tuple[int, int]:
     return (1 << n) - 1, (1 << n) - 1 << n
 
 
-def _record(cu: ClosureUniverse, bits: int) -> _ClassCompiled:
+def _record(cu: ClosureUniverse, bits: int) -> _Compiled:
     """The decision kernel's record of the set ``bits`` stands for."""
-    return _ClassCompiled(*_split_bits(cu, bits), cu.universe)
+    return _class_record(*_split_bits(cu, bits), cu.universe)
 
 
 def _slice(logic: LogicId, cu: ClosureUniverse, bits: int) -> int:
@@ -538,7 +539,7 @@ def _bprime_sweep(
     Returns each violation (Γ as sentence bits, f, g), the number of
     combined-consistent sets and the number of violations on them.  Counts
     one check per premise triple (f, g) with g believed.  Every verdict is
-    the bd rule's, on records compiled from class masks.
+    the bd rule's, on records built from class masks.
     """
     rule, u = _RULES["bd"], cu.universe
     classes = range(u.full_mask + 1)
@@ -549,7 +550,7 @@ def _bprime_sweep(
         for combo in itertools.combinations(range(len(cu.sentences)), k):
             bits = sum(1 << i for i in combo)
             sb, sd = _split_bits(cu, bits)
-            gamma = _ClassCompiled(sb, sd, u)
+            gamma = _class_record(sb, sd, u)
             bel = [c for c in classes if rule(gamma, True, c) is not None]
             consistent = _combined_witness("bd", gamma) is None
             consistent_sets += consistent
@@ -558,7 +559,7 @@ def _bprime_sweep(
             for phi in classes:
                 if believed >> phi & 1:  # conclusion already holds
                     continue
-                grown = _ClassCompiled(sb, sd | 1 << phi, u)
+                grown = _class_record(sb, sd | 1 << phi, u)
                 for psi in bel:
                     if rule(grown, False, psi) is not None:
                         violations.append((bits, phi, psi))

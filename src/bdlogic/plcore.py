@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 from .syntax import (
     And,
     Atom,
+    Belief,
     Bottom,
     Formula,
     Iff,
@@ -150,6 +151,22 @@ def conjunction_mask(premises: Iterable[Formula], universe: AtomUniverse) -> Wor
     for premise in premises:
         mask &= models_of(premise, universe)
     return mask
+
+
+def _classes_of(gamma: InformationSet, universe: AtomUniverse) -> tuple[int, int]:
+    """The classes of ``gamma``'s believed bodies and of its disbelieved
+    ones, bit c for class c.
+
+    Reads the unordered ``gamma.sentences``: the masks do not depend on the
+    order, so the set is never rendered or sorted for them.
+    """
+    sb = sd = 0
+    for s in gamma.sentences:
+        if isinstance(s, Belief):
+            sb |= 1 << models_of(s.body, universe)
+        else:
+            sd |= 1 << models_of(s.body, universe)
+    return sb, sd
 
 
 def members(bits: int) -> Iterator[int]:

@@ -32,8 +32,10 @@ from typing import TYPE_CHECKING, Iterator, Union
 from .plcore import (
     AtomUniverse,
     WorldSet,
+    _classes_of,
     conjunction_mask,
     formula_for_class,
+    members,
     models_of,
     universe_for,
 )
@@ -238,12 +240,11 @@ class _ModelSpace:
 
         column = np.ones(self.world_sets, dtype=bool)
         row = np.ones(self.inner.shape[0], dtype=bool)
-        for sentence in gamma:
-            mask = models_of(sentence.body, self.universe)
-            if isinstance(sentence, Belief):
-                column &= self.belief_column(mask)
-            else:
-                row &= self.disbelief_row(mask)
+        sb, sd = _classes_of(gamma, self.universe)
+        for mask in members(sb):
+            column &= self.belief_column(mask)
+        for mask in members(sd):
+            row &= self.disbelief_row(mask)
         return column, row
 
     def admitted(self, row: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +19,14 @@ from bdlogic import (
     Disbelief,
     InformationSet,
     Not,
+    RULE_SETS,
     Top,
     brute_force_consequences,
     brute_force_entails,
+    close,
     conjunction_mask,
     consequences,
+    count_models,
     decide,
     decide_bd,
     decide_bn,
@@ -32,6 +36,7 @@ from bdlogic import (
     models_of,
     parse_information_set,
     parse_sentence,
+    render_formula,
 )
 from bdlogic import decision
 from bdlogic.cli import main
@@ -294,13 +299,13 @@ class TestCompileOnce:
     @pytest.fixture
     def built(self, monkeypatch):
         records = []
+        real = decision._compile
 
-        class Counting(decision._Compiled):
-            def __init__(self, gamma, universe):
-                records.append(gamma)
-                super().__init__(gamma, universe)
+        def counting(gamma, universe):
+            records.append(gamma)
+            return real(gamma, universe)
 
-        monkeypatch.setattr(decision, "_Compiled", Counting)
+        monkeypatch.setattr(decision, "_compile", counting)
         monkeypatch.setattr(decision, "_last_compiled", None)
         return records
 
@@ -353,9 +358,10 @@ class TestDisbeliefProjection:
         doc = tmp_path / "two-three.bdl"
         doc.write_text("B: p\nB: q -> r\nD: p & r\nD: q\nD: !r\n")
         main(["consistency", str(doc), "--logic", "all"])
-        # gamma's beliefs (2), witnesses (3) and negated disbeliefs (3), once
-        # each; compiling the projection apart for each logic made it 20
-        assert len(evaluated) == 8
+        # gamma's beliefs (2) and disbeliefs (3), once each: the negated
+        # disbeliefs are read off the witnesses, and compiling the projection
+        # apart for each logic made it 20
+        assert len(evaluated) == 5
 
     def test_reports_equal_a_projection_compiled_apart(self, cu1, cu2):
         # the literal flag is the only field the projection decides
@@ -372,7 +378,7 @@ class TestDisbeliefProjection:
                          "B: q\nD: q\nD: !p", "D: p & !p", "B: p\nB: !q\nD: p & q")
         ]
         for u, gamma in gammas:
-            apart = decision._Compiled(InformationSet(frozenset(gamma.disbeliefs)), u)
+            apart = decision._compile(InformationSet(frozenset(gamma.disbeliefs)), u)
             for logic in LOGICS:
                 rep = inconsistency_report(logic, gamma, u)
                 literal = decision._RULES[logic](apart, False, u.full_mask) is not None
@@ -380,8 +386,8 @@ class TestDisbeliefProjection:
 
 
 class TestClassRecord:
-    """A set of class representatives compiled from its class masks reads
-    as the record compiled from its formulas, under every logic."""
+    """A set of class representatives built from its class masks is the
+    record compiled from its formulas, and reads as it under every logic."""
 
     @staticmethod
     def _sets(cu1, cu2):
@@ -400,8 +406,13 @@ class TestClassRecord:
             gamma = InformationSet(
                 frozenset(s for i, s in enumerate(cu.sentences) if bits >> i & 1)
             )
-            formulas = decision._Compiled(gamma, u)
-            classes = decision._ClassCompiled(bits & (1 << n) - 1, bits >> n, u)
+            formulas = decision._compile(gamma, u)
+            classes = decision._class_record(bits & (1 << n) - 1, bits >> n, u)
+            # the class builder lists the believed classes in ascending
+            # order, not in rendering order; every other field is equal
+            ordered = sorted(classes.belief_bodies, key=render_formula)
+            assert tuple(ordered) == formulas.belief_bodies, str(gamma)
+            assert replace(classes, belief_bodies=formulas.belief_bodies) == formulas
             for logic in LOGICS:
                 where = (logic, str(gamma))
                 assert decision._slice_masks(logic, classes) == decision._slice_masks(
@@ -424,7 +435,35 @@ class TestClassRecord:
         for logic in LOGICS:
             assert decision.consequence_masks(
                 logic, loose, u2
-            ) == decision._slice_masks(logic, decision._Compiled(loose, u2))
+            ) == decision._slice_masks(logic, decision._compile(loose, u2))
             assert decision.consequence_masks(
                 logic, loose, u2
             ) == decision.consequence_masks(logic, tight, u2)
+
+    def test_slices_of_class_records_render_nothing(self, cu1, monkeypatch):
+        # the metatheory's sweeps read slices off class records in their hot
+        # loops, so neither the builder nor a rule may render a formula
+        def refuse(formula):
+            raise AssertionError(f"rendered {formula!r}")
+
+        monkeypatch.setattr(decision, "render_formula", refuse)
+        u, n = cu1.universe, len(cu1.classes)
+        for bits in range(1 << len(cu1.sentences)):
+            record = decision._class_record(bits & (1 << n) - 1, bits >> n, u)
+            for logic in LOGICS:
+                decision._slice_masks(logic, record)
+
+
+def test_class_readers_leave_a_fresh_set_unsorted(cu2):
+    # the oracle, the closure engine and the consequence slice reduce a set
+    # to its classes; none of them needs its rendering order
+    readers = [
+        lambda g: brute_force_consequences("gbd", g, cu2.universe),
+        lambda g: count_models("bd", g, cu2.universe),
+        lambda g: close(RULE_SETS["bd"], "derivability", g, cu2),
+        lambda g: consequences("bn", g, cu2.universe),
+    ]
+    for read in readers:
+        gamma = parse_information_set("B: p | q\nB: !q\nD: q\nD: p & !q")
+        read(gamma)
+        assert "_ordered" not in vars(gamma)
