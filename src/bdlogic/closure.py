@@ -33,7 +33,12 @@ comes from its parent's: ``B: c`` narrows the conjunction to ``c``, and
 ``D: c`` adds one class to the disbelief seeds (on canonical seeds, ``c``
 within the conjunction, unless a seed contains it already).  The parent keeps
 a link from the added sentence to that key, so a repeat visit is a dict
-lookup.
+lookup.  Where the added sentence leaves the key as it is (``B: c`` for a
+``c`` that contains the conjunction, ``D: c`` for a ``c`` whose part within
+it a seed contains), the augmented set is the set itself.  Those children
+are answered in bulk, one test of the set's own derivation per application,
+and are neither linked nor recorded as readers: a set that grows is applied
+again anyway.
 """
 
 from __future__ import annotations
@@ -172,11 +177,12 @@ class _SetState:
 
     The seed, belief and disbelief fields are sets of classes; the seed
     disbeliefs are the key's second half.  ``dirty`` says the rules must be
-    applied to the set again; ``readers`` are the sets whose
+    applied to the set again; ``readers`` are the other sets whose
     ``DPrime``/``BPrime`` premises looked this one up, and so must be
     applied again when it grows.  ``children`` links the index of an added
     sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as in
-    ``ClosureUniverse.sentences``) to the key of the set plus that sentence.
+    ``ClosureUniverse.sentences``) to the key of the set plus that sentence,
+    for every such set other than this one.
     """
 
     key: tuple[int, int]
@@ -209,6 +215,10 @@ class _Engine:
             and bool(rules & {Rule.D, Rule.DPrime})
             and not rules & {Rule.WD, Rule.GD, Rule.DtoB}
         )
+        # rule membership, read once: hashing an enum member is a Python call
+        flags = (Rule.B, Rule.DBot, Rule.WD, Rule.GD, Rule.D, Rule.DPrime, Rule.BPrime, Rule.DtoB)
+        (self._b, self._dbot, self._wd, self._gd, self._d,
+         self._dprime, self._bprime, self._dtob) = (rule in rules for rule in flags)
 
     def _conj(self, beliefs: int) -> int:
         """The class of the conjunction of the given belief classes: the
@@ -223,8 +233,14 @@ class _Engine:
         """The disbelief seeds restricted to ``key_b``, keeping each one that
         no other restricted seed contains."""
         up = self.cu.up
-        r = _union(1 << (key_b & psi) for psi in members(sd))
-        return _union(1 << p for p in members(r) if up[p] & r == 1 << p)
+        r = 0
+        for psi in members(sd):
+            r |= 1 << (key_b & psi)
+        kept = 0
+        for p in members(r):
+            if up[p] & r == 1 << p:
+                kept |= 1 << p
+        return kept
 
     def _key(self, sb: int, sd: int) -> tuple[int, int]:
         """The family key of the raw seeds."""
@@ -248,9 +264,28 @@ class _Engine:
         if not self._canonical_seeds:
             return key_b, key_d | 1 << c
         p = key_b & c
-        if self.cu.up[p] & key_d:  # a seed already contains p
+        if self.cu.up[p] & key_d:  # a seed already contains p: see _own_d
             return key
         return key_b, key_d & ~self.cu.down[p] | 1 << p
+
+    def _own_b(self, key: tuple[int, int]) -> int:
+        """The classes c for which :meth:`_child_key` gives ``key`` itself
+        for ``B: c``: those containing the conjunction, or the seed belief
+        classes when the key is not a conjunction."""
+        return self.cu.up[key[0]] if self._by_conj else key[0]
+
+    def _own_d(self, key: tuple[int, int]) -> int:
+        """The classes c for which :meth:`_child_key` gives ``key`` itself
+        for ``D: c``.  On canonical seeds a seed ``d`` contains ``key_b & c``
+        exactly when ``c`` lies in ``d | full & ~key_b``."""
+        key_b, key_d = key
+        if not self._canonical_seeds:
+            return key_d
+        down, widen = self.cu.down, self.full & ~key_b
+        own = 0
+        for d in members(key_d):
+            own |= down[d | widen]
+        return own
 
     def _state(self, key: tuple[int, int], sb: int) -> _SetState:
         """The family's set under ``key``, added with raw seed beliefs ``sb``
@@ -296,43 +331,58 @@ class _Engine:
 
     def _apply(self, state: _SetState) -> bool:
         state.dirty = False
-        rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
+        full, up, down = self.full, self.cu.up, self.cu.down
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
-        add_b = up[conj] if Rule.B in rules else 0
-        add_d = 1 if Rule.DBot in rules else 0
+        add_b = up[conj] if self._b else 0
+        add_d = 1 if self._dbot else 0
 
-        if Rule.WD in rules:
-            add_d |= _union(down[psi] for psi in members(dis_src))
-        if Rule.GD in rules:
-            # the negated disbeliefs refute exactly the classes inside the
-            # union of the disbelieved ones
-            add_d |= down[_union(members(dis_src))]
-        if Rule.D in rules:
-            add_d |= _union(down[psi | full & ~conj] for psi in members(dis_src))
-        if Rule.DtoB in rules:
-            add_b |= _union(1 << (full & ~psi) for psi in members(dis_src))
-        if Rule.DPrime in rules:
+        if self._wd or self._gd or self._d or self._dtob:
+            # WD, GD, D and DtoB in one pass over the disbelieved classes.
+            # D's class for psi, down[psi | full & ~conj], contains WD's,
+            # down[psi]; the negated disbeliefs refute exactly the classes
+            # inside the union of the disbelieved ones (GD)
+            widen = full & ~conj if self._d else 0
+            downward, dtob, pooled = self._wd or self._d, self._dtob, 0
+            for psi in members(dis_src):
+                if downward:
+                    add_d |= down[psi | widen]
+                if dtob:
+                    add_b |= 1 << (full & ~psi)
+                pooled |= psi
+            if self._gd:
+                add_d |= down[pooled]
+        if self._dprime:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
             elif dis_src:
                 # one augmented set per class: disbelieve c when the set
-                # plus B: c comes to believe something disbelieved
+                # plus B: c comes to believe something disbelieved.  Where
+                # that set is this one (the classes of _own_b), all of them
+                # are answered at once, with no link
+                todo = self.every & ~(state.disbeliefs | add_d)
+                own = self._own_b(state.key)
+                if state.beliefs & dis_src:
+                    add_d |= todo & own
                 links, family = state.children, self.family
-                for c in members(self.every & ~(state.disbeliefs | add_d)):
+                for c in members(todo & ~own):
                     key = links.get(c)
                     child = self._link(state, c) if key is None else family[key]
                     if child.beliefs & dis_src:
                         add_d |= 1 << c
-        if Rule.BPrime in rules:
+        if self._bprime:
             if self.membership:
                 add_b |= self.every if bel_src & state.seed_disbeliefs else bel_src
             elif bel_src:
                 # believe c when the set plus D: c comes to disbelieve
-                # something believed
+                # something believed; own children (_own_d) in bulk, as above
+                todo = self.every & ~(state.beliefs | add_b)
+                own = self._own_d(state.key)
+                if state.disbeliefs & bel_src:
+                    add_b |= todo & own
                 links, family, n = state.children, self.family, len(self.cu.classes)
-                for c in members(self.every & ~(state.beliefs | add_b)):
+                for c in members(todo & ~own):
                     key = links.get(n + c)
                     child = self._link(state, n + c) if key is None else family[key]
                     if child.disbeliefs & bel_src:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -546,6 +549,66 @@ def test_child_keys_match_the_raw_seed_keys(cu1, cu2, monkeypatch):
                             assert state in engine.family[want].readers, (where, i)
                     linked += len(state.children)
     assert linked > 0
+
+
+@pytest.mark.parametrize("name", sorted({**AUGMENTED_RULE_SETS, **LITERAL_BPRIME_RULE_SETS}))
+def test_own_children_are_answered_without_links(cu1, cu2, monkeypatch, name):
+    # a DPrime or BPrime child that is the set itself is answered in bulk:
+    # the set never links to its own key or reads itself
+    rules = AUGMENTED_RULE_SETS.get(name)
+    if rules is None:  # literal seeds: families in the thousands
+        rules = LITERAL_BPRIME_RULE_SETS[name]
+        monkeypatch.setattr(closure_mod, "_MAX_FAMILY", 64)
+    own = 0
+    for cu, gamma in _pinned_inputs(cu1, cu2):
+        engine = closure_mod._Engine(rules, "derivability", cu)
+        try:
+            engine.register(*_seed_masks(gamma, cu))
+            engine.run()
+        except ClosureScaleError:
+            pass  # the family up to the trip is checked all the same
+        n = len(cu.classes)
+        for key, state in engine.family.items():
+            where = (_render_set(gamma), key)
+            assert key not in state.children.values(), where
+            assert state not in state.readers, where
+            own_b, own_d = engine._own_b(key), engine._own_d(key)
+            for c in cu.classes:
+                assert (engine._child_key(key, c) == key) == bool(own_b >> c & 1), (where, c)
+                assert (engine._child_key(key, n + c) == key) == bool(own_d >> c & 1), (where, c)
+            if Rule.DPrime in rules:
+                own += own_b.bit_count()
+            if Rule.BPrime in rules:
+                own += own_d.bit_count()
+    assert own > 0
+
+
+def _slice_stream_sets(seed: int, count: int, monkeypatch) -> list[InformationSet]:
+    """The first ``count`` two-atom sets (1 to 4 sentences over p and q) of
+    the benchmark's ``slices`` stream for ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # dataclasses look it up
+    spec.loader.exec_module(gen)
+    docs = [doc for doc in gen.slice_docs(seed) if len(doc.atoms) == 2]
+    return [parse_information_set(doc.text()) for doc in docs[:count]]
+
+
+# How many of the stream's sets each rule set is checked on: about a second
+# of test time each, the reference engine being the slower side
+SLICE_STREAM_SAMPLE = {"dprime": 480, "bd+bprime": 100}
+
+
+@pytest.mark.parametrize("name", sorted(SLICE_STREAM_SAMPLE))
+def test_slice_stream_sets_match_the_round_robin(cu2, monkeypatch, name):
+    # closure bits and family key order on a wider sample than the pinned
+    # inputs, drawn as the slices workload draws its two-atom sets
+    rules = AUGMENTED_RULE_SETS[name]
+    for gamma in _slice_stream_sets(7, SLICE_STREAM_SAMPLE[name], monkeypatch):
+        want = _engine_outcome(_RoundRobinEngine, rules, "derivability", gamma, cu2)
+        got = _engine_outcome(_CountingEngine, rules, "derivability", gamma, cu2)
+        assert got[:2] == want[:2], _render_set(gamma)
 
 
 # Rule sets, with the family cap each is checked under.  Under bd+bprime a
