@@ -18,9 +18,13 @@ in BD, so information sets with inconsistent beliefs still have models.
 and is the independent oracle the decision procedures are validated
 against.  It knows nothing about the characterizations it checks.  Since a
 belief constrains only ``m`` and a disbelief only the sources, it reduces a
-set of sentences once per axis (a numpy vector over ``m`` and one over
-``n`` or the families) instead of testing every (m, sources) pair; numpy is
-imported only when a model space is first built.
+set of sentences once per axis (a boolean vector over ``m`` and a
+bit-packed row over ``n`` or the families, one bit per source or family in
+``uint64`` words) instead of testing every (m, sources) pair.  Each model
+space packs every class's row once, so a consequence slice tests all
+classes in a few array operations.  The space stays family-level: every
+nonempty family is one bit.  numpy is imported only when a model space is
+first built.
 """
 
 from __future__ import annotations
@@ -160,13 +164,23 @@ class _ModelSpace:
     Enumeration order is fixed: ``m`` ascending, then ``inner`` ascending.
 
     A belief constrains only ``m`` and a disbelief only ``inner``, so a set
-    of sentences is a boolean vector over each axis (``column`` over ``m``,
-    ``row`` over ``inner``) and its models are the pairs whose two entries
-    hold.  bd also needs every member within ``m``: family ``f`` fits ``m``
-    iff ``need[f] & ~m == 0``, ``need[f]`` being the union of its members.
-    bd keeps its families grouped by ``need`` (ascending values within a
-    group), so which ``m`` a row admits is one ``logical_or.reduceat``
-    over the row plus a lookup in a groups-by-``m`` table.
+    of sentences is a boolean column over ``m`` and a row over ``inner``,
+    and its models are the pairs whose two entries hold.  The row is
+    bit-packed: one bit per ``inner`` value (``inner[bit]`` says which,
+    ``valid`` has the bits that hold one), in little-endian ``uint64`` words.  bd also needs every member within
+    ``m``: family ``f`` fits ``m`` iff ``need[f] & ~m == 0``, ``need[f]``
+    being the union of its members.  So bd lays its families out in groups
+    of equal ``need`` (ascending, bitmask ascending within a group); wbd
+    and gbd have one group.  Each group starts on a word boundary and its
+    last word is padded with zero bits, so which groups a row reaches is
+    one ``bitwise_or.reduceat`` over its words, and which ``m`` it admits
+    is a lookup in the groups-by-``m`` table ``fits``.
+
+    Every class's packed disbelief row (``rows``), its complement
+    (``complements``) and its belief column (``beliefs``, one row of a
+    classes-by-``m`` matrix) are built once per space, so a set is the AND
+    of its classes' entries and a whole consequence slice is a few array
+    operations.  Rows are unpacked only to decode a model.
     """
 
     def __init__(self, logic: LogicId, universe: AtomUniverse):
@@ -185,82 +199,76 @@ class _ModelSpace:
             raise ValueError("bn has no model semantics to enumerate")
         self.logic = logic
         self.universe = universe
-        self.world_sets = 1 << universe.world_count  # S
-        self.m_values = np.arange(self.world_sets, dtype=np.uint32)
-        self.need: np.ndarray | None = None
-        self.starts: np.ndarray | None = None
-        self.fits: np.ndarray | None = None
+        self.world_sets = s = 1 << universe.world_count  # S, also the class count
+        # world sets, m values and classes; within the scale limits every
+        # world set and family bitmask fits in 16 bits
+        worlds = np.arange(s, dtype=np.uint16)
         if logic == "gbd":
-            self.inner = np.arange(self.world_sets, dtype=np.uint32)
-        elif logic == "wbd":
-            self.inner = np.arange(1, 1 << self.world_sets, dtype=np.uint32)
+            values = worlds
         else:
+            values = np.arange(1, 1 << s, dtype=np.uint16)
+        if logic == "bd":
             # need[f] by doubling: adding world set i to the families below
             # bit i ORs i into their union
-            need = np.zeros(1 << self.world_sets, dtype=np.uint32)
-            for i in range(self.world_sets):
-                need[1 << i : 2 << i] = need[: 1 << i] | np.uint32(i)
-            order = np.argsort(need[1:], kind="stable")
-            self.inner = (order + 1).astype(np.uint32)
-            self.need = need[1:][order]
-            self.starts = np.flatnonzero(
-                np.concatenate(([True], self.need[1:] != self.need[:-1]))
-            )
-            group_need = self.need[self.starts]
-            self.fits = (group_need[:, None] & ~self.m_values[None, :]) == 0
-        self._rows: dict[int, np.ndarray] = {}
-
-    def belief_column(self, class_mask: int) -> np.ndarray:
-        """Over ``m``: does ``B: f`` hold, ``class_mask`` being ``f``'s models."""
-        import numpy as np
-
-        outside = np.uint32(self.universe.full_mask & ~class_mask)
-        return (self.m_values & outside) == 0
-
-    def disbelief_row(self, class_mask: int) -> np.ndarray:
-        """Over ``inner``: does ``D: f`` hold, ``class_mask`` being ``f``'s models."""
-        import numpy as np
-
-        row = self._rows.get(class_mask)
-        if row is None:
-            if self.logic == "gbd":
-                # the source refutes f: n within the complement of f
-                row = (self.inner & np.uint32(class_mask)) == 0
-            else:
-                # some member within the complement of f
-                neg = self.universe.full_mask & ~class_mask
-                good = sum(1 << i for i in range(self.world_sets) if i & ~neg == 0)
-                row = (self.inner & np.uint32(good)) != 0
-            self._rows[class_mask] = row
-        return row
+            need = np.zeros(1 << s, dtype=np.uint16)
+            for i in range(s):
+                need[1 << i : 2 << i] = need[: 1 << i] | np.uint16(i)
+            values = values[np.argsort(need[1:], kind="stable")]
+            need = need[values]
+            first = np.flatnonzero(np.concatenate(([True], need[1:] != need[:-1])))
+            self.fits = (need[first][:, None] & ~worlds[None, :]) == 0
+        else:
+            first = np.zeros(1, dtype=np.intp)
+            self.fits = np.ones((1, s), dtype=bool)
+        sizes = np.diff(np.append(first, values.shape[0]))
+        self.group_words = -(-sizes // 64)
+        self.starts = np.concatenate(([0], np.cumsum(self.group_words)[:-1]))
+        self.inner = np.zeros(int(self.group_words.sum()) * 64, dtype=np.uint16)
+        real = np.zeros(self.inner.shape[0], dtype=bool)
+        # group g: values[first[g]:][:sizes[g]] from word starts[g] on
+        for start, head, size in zip(self.starts.tolist(), first.tolist(), sizes.tolist()):
+            self.inner[64 * start : 64 * start + size] = values[head : head + size]
+            real[64 * start : 64 * start + size] = True
+        self.valid = _pack(real)
+        if logic == "gbd":
+            # the source refutes f: n within the complement of f
+            self.rows = _pack((self.inner[None, :] & worlds[:, None]) == 0)
+        else:
+            # some member within the complement of f: world set i qualifies
+            # iff it misses c.  One class at a time, so no boolean
+            # classes-by-families matrix is built.
+            self.rows = np.empty((s, self.valid.shape[0]), dtype=self.valid.dtype)
+            for c in range(s):
+                good = sum(1 << i for i in range(s) if i & c == 0)
+                self.rows[c] = _pack((self.inner & np.uint16(good)) != 0)
+        self.rows &= self.valid
+        self.complements = ~self.rows
+        self.complements &= self.valid
+        full = np.uint16(universe.full_mask)
+        self.beliefs = (worlds[None, :] & (full & ~worlds)[:, None]) == 0
 
     def axes(self, gamma: InformationSet) -> tuple[np.ndarray, np.ndarray]:
-        """``gamma`` as (column over ``m``, row over ``inner``)."""
-        import numpy as np
-
-        column = np.ones(self.world_sets, dtype=bool)
-        row = np.ones(self.inner.shape[0], dtype=bool)
+        """``gamma`` as (column over ``m``, packed row over ``inner``)."""
         sb, sd = _classes_of(gamma, self.universe)
-        for mask in members(sb):
-            column &= self.belief_column(mask)
+        column = self.beliefs[list(members(sb))].all(axis=0)
+        row = self.valid
         for mask in members(sd):
-            row &= self.disbelief_row(mask)
+            row = row & self.rows[mask]
         return column, row
 
     def admitted(self, row: np.ndarray) -> np.ndarray:
         """Over ``m``: does some ``inner`` value of ``row`` make a model with it."""
         import numpy as np
 
-        if self.fits is None:
-            return np.full(self.world_sets, bool(row.any()))
-        present = np.logical_or.reduceat(row, self.starts)
-        return self.fits[present].any(axis=0)
+        return self.fits[np.bitwise_or.reduceat(row, self.starts) != 0].any(axis=0)
 
     def fitting(self, row: np.ndarray, m: int) -> np.ndarray:
         """The ``inner`` values of ``row`` that make a model with ``m``."""
-        if self.need is None:
-            return self.inner[row]
-        return self.inner[row & ((self.need & ~self.m_values[m]) == 0)]
+        import numpy as np
+
+        words = np.where(np.repeat(self.fits[:, m], self.group_words), row, 0)
+        octets = words.astype("<u8", copy=False).view(np.uint8)
+        return self.inner[np.unpackbits(octets, bitorder="little").view(bool)]
 
     def first_model(self, column: np.ndarray, row: np.ndarray) -> Model | None:
         """The first model of ``(column, row)`` in enumeration order."""
@@ -282,9 +290,10 @@ class _ModelSpace:
     def count(self, column: np.ndarray, row: np.ndarray) -> int:
         import numpy as np
 
-        if self.fits is None:
-            return int(column.sum()) * int(row.sum())
-        per_group = np.add.reduceat(row.astype(np.int64), self.starts)
+        # families per group: a population count by byte lookup
+        ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
+        per_byte = ones[row.astype("<u8", copy=False).view(np.uint8)]
+        per_group = np.add.reduceat(per_byte, self.starts * 8, dtype=np.int64)
         return int((per_group @ self.fits)[column].sum())
 
     def decode(self, m: int, inner_value: int) -> Model:
@@ -295,6 +304,14 @@ class _ModelSpace:
         )
         cls = ModelWBD if self.logic == "wbd" else ModelBD
         return cls(m=m, family=family, universe=self.universe)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows (length a multiple of 64) as ``uint64`` words, bit k of
+    word w being entry ``64 * w + k``."""
+    import numpy as np
+
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
 @lru_cache(maxsize=32)
@@ -318,9 +335,9 @@ def brute_force_entails(
     column, row = space.axes(gamma)
     mask = models_of(alpha.body, u)
     if isinstance(alpha, Belief):
-        column = column & ~space.belief_column(mask)
+        column = column & ~space.beliefs[mask]
     else:
-        row = row & ~space.disbelief_row(mask)
+        row = row & space.complements[mask]
     witness = space.first_model(column, row)
     if witness is None:
         return Verdict(logic=logic, query=alpha, entailed=True)
@@ -333,18 +350,26 @@ def brute_force_consequences(
     """Entailed slice over all class representatives, by model enumeration.
 
     Same answers as calling ``brute_force_entails`` once per sentence of the
-    universe, but ``gamma`` is reduced to its two axes a single time.
+    universe, but ``gamma`` is reduced to its two axes a single time and
+    every class is tested at once.
     """
+    import numpy as np
+
     space = _model_space(logic, universe.atoms)
     column, row = space.axes(gamma)
-    admitted = space.admitted(row)
+    # ``B: c`` holds iff every m that makes a model lies within c
+    believed = space.beliefs[:, column & space.admitted(row)].all(axis=1)
+    # ``D: c`` holds iff no group that fits a column m keeps a family once
+    # the families satisfying ``D: c`` are dropped
+    kept = np.bitwise_or.reduceat(row & space.complements, space.starts, axis=1) != 0
+    disbelieved = ~(kept & space.fits[:, column].any(axis=1)).any(axis=1)
     out: set[Sentence] = set()
-    for mask in range(universe.full_mask + 1):
-        # a belief query narrows only the column, so the row's reach is shared
-        if not (column & admitted & ~space.belief_column(mask)).any():
-            out.add(Belief(formula_for_class(mask, universe)))
-        if not (column & space.admitted(row & ~space.disbelief_row(mask))).any():
-            out.add(Disbelief(formula_for_class(mask, universe)))
+    for mask in np.flatnonzero(believed | disbelieved).tolist():
+        rep = formula_for_class(mask, universe)
+        if believed[mask]:
+            out.add(Belief(rep))
+        if disbelieved[mask]:
+            out.add(Disbelief(rep))
     return frozenset(out)
 
 

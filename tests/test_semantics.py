@@ -41,10 +41,12 @@ from bdlogic import (
     satisfies,
 )
 
+from bdlogic.semantics import _model_space
 from conftest import information_sets, sentences
 
 p, q = Atom("p"), Atom("q")
 LOGICS = ("wbd", "gbd", "bd")
+U1 = AtomUniverse(("p",))
 U2 = AtomUniverse(("p", "q"))
 U3 = AtomUniverse(("p", "q", "r"))
 
@@ -349,6 +351,118 @@ class TestOracleAgainstDefinitions:
             if not (grid & ~reference.sat(alpha)).any()
         }
         assert brute_force_consequences(logic, gamma, universe) == expected
+
+
+def expected_groups(logic, universe):
+    """The oracle's ``inner`` values in layout order, group by group.
+
+    gbd: the sources ascending; wbd: the families' bitmasks ascending; bd:
+    the families grouped by the union of their members (groups by union
+    ascending, bitmasks ascending within one).
+    """
+    world_sets = 1 << universe.world_count
+    if logic == "gbd":
+        return [list(range(world_sets))]
+    if logic == "wbd":
+        return [list(range(1, 1 << world_sets))]
+    union = [0] * (1 << world_sets)
+    groups: dict[int, list[int]] = {}
+    for family in range(1, 1 << world_sets):
+        low = family & -family
+        union[family] = union[family ^ low] | (low.bit_length() - 1)
+        groups.setdefault(union[family], []).append(family)
+    return [groups[u] for u in sorted(groups)]
+
+
+def expected_layout(logic, universe):
+    """(``inner`` value, is a real entry) per bit: each group starts on a
+    64-bit word boundary and is padded to a whole word."""
+    placed = []
+    start = 0
+    for group in expected_groups(logic, universe):
+        placed.append((start, group))
+        start += -(-len(group) // 64) * 64
+    values = np.zeros(start, dtype=np.int64)
+    real = np.zeros(start, dtype=bool)
+    for start, group in placed:
+        values[start : start + len(group)] = group
+        real[start : start + len(group)] = True
+    return values, real
+
+
+def as_int(words):
+    """A packed row as one int, bit k being entry k (little-endian words)."""
+    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
+
+
+def flags_int(flags):
+    """A boolean vector as one int, bit k being entry k."""
+    digits = (np.asarray(flags, dtype=np.uint8)[::-1] + ord("0")).tobytes()
+    return int(digits, 2) if digits else 0
+
+
+PACKED_SPACES = [(logic, u) for u in (U1, U2) for logic in LOGICS] + [("gbd", U3)]
+PACKED_IDS = [f"{logic}-{u.n}" for logic, u in PACKED_SPACES]
+
+
+def edge_sets(universe):
+    every_class = [formula_for_class(c, universe) for c in range(universe.full_mask + 1)]
+    return {
+        "empty": InformationSet(),
+        "D: true": InformationSet(frozenset({Disbelief(Top())})),
+        "D: false": InformationSet(frozenset({Disbelief(Bottom())})),
+        "B: false": InformationSet(frozenset({Belief(Bottom())})),
+        "D: every class": InformationSet(frozenset(map(Disbelief, every_class))),
+    }
+
+
+class TestPackedLayout:
+    """The model space's bit-packed rows against the definitions."""
+
+    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    def test_groups_start_on_words_and_padding_is_zero(self, logic, universe):
+        space = _model_space(logic, universe.atoms)
+        values, real = expected_layout(logic, universe)
+        assert space.inner.shape == values.shape
+        assert (space.inner[real] == values[real]).all()
+        assert as_int(space.valid) == flags_int(real)
+        padding = flags_int(~real)
+        stored = [space.valid, *space.rows, *space.complements]
+        assert all(as_int(row) & padding == 0 for row in stored)
+
+    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    def test_each_class_row_unpacks_to_its_definition(self, logic, universe):
+        space = _model_space(logic, universe.atoms)
+        reference = ReferenceGrid(logic, universe)
+        values, real = expected_layout(logic, universe)
+        # column of the reference grid for each bit (padding reads column 0)
+        column = np.where(real, values - (0 if logic == "gbd" else 1), 0)
+        for c in range(universe.full_mask + 1):
+            rep = formula_for_class(c, universe)
+            holds = real & reference.sat(Disbelief(rep))[0][column]
+            assert as_int(space.rows[c]) == flags_int(holds)
+            assert as_int(space.complements[c]) == flags_int(real & ~holds)
+            assert (space.beliefs[c] == reference.sat(Belief(rep))[:, 0]).all()
+
+    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    def test_edge_sets_match_the_full_grid(self, logic, universe):
+        reference = ReferenceGrid(logic, universe)
+        queries = class_sentences(universe)
+        for name, gamma in edge_sets(universe).items():
+            grid = reference.models(gamma)
+            assert count_models(logic, gamma, universe) == int(grid.sum()), name
+            listed = itertools.islice(enumerate_models(logic, gamma, universe), 40)
+            assert list(listed) == [
+                reference.decode(i) for i in np.flatnonzero(grid.reshape(-1))[:40]
+            ], name
+            entailed = set()
+            for alpha in queries:
+                flat = (grid & ~reference.sat(alpha)).reshape(-1)
+                first = reference.decode(np.argmax(flat)) if flat.any() else None
+                assert brute_force_entails(logic, gamma, alpha, universe).witness == first
+                if first is None:
+                    entailed.add(alpha)
+            assert brute_force_consequences(logic, gamma, universe) == entailed, name
 
 
 class TestCountermodelConstruction:
