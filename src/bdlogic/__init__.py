@@ -20,12 +20,10 @@ from .closure import (
     RULE_SETS,
     ClosureScaleError,
     ClosureUniverse,
-    Disagreement,
     Rule,
     RuleReading,
     build_universe,
     close,
-    readings_agree,
 )
 from .decision import (
     CONSEQUENCE_UNIVERSE_LIMIT,
@@ -95,8 +93,10 @@ from .syntax import (
 )
 from .metatheory import (
     REQUIRED_CASE_IDS,
+    Disagreement,
     PropertyReport,
     generate_information_set,
+    readings_agree,
     run_suite,
 )
 from .verdicts import LOGICS, LogicId, Rationale, Verdict
@@ -127,8 +127,8 @@ __all__ = [
     "consequences", "InconsistencyReport", "inconsistency_report",
     # closure
     "Rule", "RuleReading", "RULE_SETS", "ClosureUniverse", "ClosureScaleError",
-    "build_universe", "close", "Disagreement", "readings_agree",
+    "build_universe", "close",
     # metatheory
     "run_suite", "PropertyReport", "REQUIRED_CASE_IDS",
-    "generate_information_set",
+    "generate_information_set", "Disagreement", "readings_agree",
 ]

@@ -47,17 +47,10 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Literal, Union
+from typing import Iterable, Literal
 
-from .decision import consequence_masks
-from .plcore import AtomUniverse, _classes_of, formula_for_class, members
-from .syntax import (
-    Belief,
-    Disbelief,
-    InformationSet,
-    Sentence,
-    render_sentence,
-)
+from .plcore import AtomUniverse, _class_sentences, _classes_of, members
+from .syntax import InformationSet, Sentence
 from .verdicts import LogicId
 
 __all__ = [
@@ -68,8 +61,6 @@ __all__ = [
     "ClosureScaleError",
     "build_universe",
     "close",
-    "Disagreement",
-    "readings_agree",
 ]
 
 
@@ -121,8 +112,7 @@ class ClosureUniverse:
         self.universe = universe
         self.classes = tuple(range(universe.full_mask + 1))
         # the belief in class c, then the disbelief in class c at len(classes) + c
-        reps = [formula_for_class(c, universe) for c in self.classes]
-        self.sentences = tuple(map(Belief, reps)) + tuple(map(Disbelief, reps))
+        self.sentences = _class_sentences(universe.atoms)
         self.up, self.down = _subset_tables(universe.n)
         self.columns = _world_columns(universe.n)
 
@@ -437,60 +427,3 @@ def close(
     """
     derived = _close_bits(rules, reading, gamma, cu)
     return frozenset(cu.sentences[i] for i in members(derived))
-
-
-# ---------------------------------------------------------------------------
-# Comparing consequence producers
-
-SideSpec = Union[LogicId, tuple[Iterable[Rule], str]]
-
-
-@dataclass(frozen=True)
-class Disagreement:
-    gamma: InformationSet
-    sentence: Sentence
-    in_a: bool
-    in_b: bool
-
-    def render(self) -> str:
-        gamma_text = "; ".join(render_sentence(s) for s in self.gamma) or "(empty)"
-        side = "only left" if self.in_a else "only right"
-        return f"Γ={{{gamma_text}}}: {render_sentence(self.sentence)} ({side})"
-
-
-def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -> int:
-    """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
-    if isinstance(side, str):
-        beliefs, disbeliefs = consequence_masks(side, gamma, cu.universe)
-        return beliefs | disbeliefs << len(cu.classes)
-    return _close_bits(*side, gamma, cu)  # type: ignore[arg-type]
-
-
-def readings_agree(
-    a: SideSpec,
-    b: SideSpec,
-    samples: Iterable[InformationSet],
-    cu: ClosureUniverse,
-) -> list[Disagreement]:
-    """Diff two consequence producers over the sampled sets.
-
-    A side is either a logic name (its decision procedure) or a
-    ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
-    Each set's records come in ``cu.sentences`` order.
-    """
-    records: list[Disagreement] = []
-    for gamma in samples:
-        left, right = _sentence_bits(a, gamma, cu), _sentence_bits(b, gamma, cu)
-        records += _disagreements(gamma, left, right, cu)
-    return records
-
-
-def _disagreements(
-    gamma: InformationSet, left: int, right: int, cu: ClosureUniverse
-) -> list[Disagreement]:
-    """Where two sides' consequences of ``gamma`` differ, in ``cu.sentences``
-    order; bit i of ``left`` and ``right`` stands for ``cu.sentences[i]``."""
-    return [
-        Disagreement(gamma, cu.sentences[i], bool(left >> i & 1), not left >> i & 1)
-        for i in members(left ^ right)
-    ]

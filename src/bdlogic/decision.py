@@ -32,6 +32,7 @@ from typing import Callable, Optional
 from .plcore import (
     AtomUniverse,
     _classes_of,
+    _sentences_of,
     conjunction_mask,
     formula_for_class,
     members,
@@ -42,7 +43,6 @@ from .syntax import (
     And,
     Belief,
     Bottom,
-    Disbelief,
     Formula,
     InformationSet,
     Sentence,
@@ -394,13 +394,9 @@ def consequences(
 ) -> frozenset[Sentence]:
     """Every entailed sentence over ``universe``, one per semantic class.
 
-    The classes come from :func:`consequence_masks`; a representative from
-    :func:`formula_for_class` is built only for the entailed ones.
+    The classes come from :func:`consequence_masks`, the sentences from the
+    universe's shared class sentences, whose bodies are the representatives
+    of :func:`formula_for_class`.
     """
     beliefs, disbeliefs = consequence_masks(logic, gamma, universe)
-    return frozenset(
-        kind(formula_for_class(mask, universe))
-        for mask in range(universe.full_mask + 1)
-        for kind, bits in ((Belief, beliefs), (Disbelief, disbeliefs))
-        if bits >> mask & 1
-    )
+    return _sentences_of(beliefs | disbeliefs << universe.full_mask + 1, universe)

@@ -37,15 +37,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .closure import (
     RULE_SETS,
     ClosureUniverse,
-    Disagreement,
     Rule,
+    _close_bits,
     _close_classes,
-    _disagreements,
     build_universe,
 )
 from .decision import (
@@ -55,6 +54,7 @@ from .decision import (
     _combined_witness,
     _report,
     _slice_masks,
+    consequence_masks,
     consequences,
     decide,
     inconsistency_report,
@@ -86,6 +86,8 @@ __all__ = [
     "CaseResult",
     "PropertyReport",
     "REQUIRED_CASE_IDS",
+    "Disagreement",
+    "readings_agree",
     "ScaleName",
     "generate_information_set",
     "run_suite",
@@ -768,6 +770,63 @@ def _strength_ordering(ctx: _Ctx) -> str:
         f"wbd is weakest everywhere ({ctx.checks} checks); incomparability "
         "witnessed by {D: p; D: q} ⊦gbd D: p | q and {B: !p} ⊦bd D: p"
     )
+
+
+# ---------------------------------------------------------------------------
+# Comparing consequence producers
+
+SideSpec = Union[LogicId, tuple[Iterable[Rule], str]]
+
+
+@dataclass(frozen=True)
+class Disagreement:
+    gamma: InformationSet
+    sentence: Sentence
+    in_a: bool
+    in_b: bool
+
+    def render(self) -> str:
+        gamma_text = "; ".join(render_sentence(s) for s in self.gamma) or "(empty)"
+        side = "only left" if self.in_a else "only right"
+        return f"Γ={{{gamma_text}}}: {render_sentence(self.sentence)} ({side})"
+
+
+def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -> int:
+    """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
+    if isinstance(side, str):
+        beliefs, disbeliefs = consequence_masks(side, gamma, cu.universe)
+        return beliefs | disbeliefs << len(cu.classes)
+    return _close_bits(*side, gamma, cu)  # type: ignore[arg-type]
+
+
+def readings_agree(
+    a: SideSpec,
+    b: SideSpec,
+    samples: Iterable[InformationSet],
+    cu: ClosureUniverse,
+) -> list[Disagreement]:
+    """Diff two consequence producers over the sampled sets.
+
+    A side is either a logic name (its decision procedure) or a
+    ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
+    Each set's records come in ``cu.sentences`` order.
+    """
+    records: list[Disagreement] = []
+    for gamma in samples:
+        left, right = _sentence_bits(a, gamma, cu), _sentence_bits(b, gamma, cu)
+        records += _disagreements(gamma, left, right, cu)
+    return records
+
+
+def _disagreements(
+    gamma: InformationSet, left: int, right: int, cu: ClosureUniverse
+) -> list[Disagreement]:
+    """Where two sides' consequences of ``gamma`` differ, in ``cu.sentences``
+    order; bit i of ``left`` and ``right`` stands for ``cu.sentences[i]``."""
+    return [
+        Disagreement(gamma, cu.sentences[i], bool(left >> i & 1), not left >> i & 1)
+        for i in members(left ^ right)
+    ]
 
 
 # ---------------------------------------------------------------------------

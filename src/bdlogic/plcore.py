@@ -16,6 +16,7 @@ from .syntax import (
     Atom,
     Belief,
     Bottom,
+    Disbelief,
     Formula,
     Iff,
     Implies,
@@ -158,15 +159,21 @@ def _classes_of(gamma: InformationSet, universe: AtomUniverse) -> tuple[int, int
     ones, bit c for class c.
 
     Reads the unordered ``gamma.sentences``: the masks do not depend on the
-    order, so the set is never rendered or sorted for them.
+    order, so the set is never rendered or sorted for them.  The set is
+    immutable and the masks depend only on the universe's atoms, so they are
+    computed once per set and atom tuple and kept on the set.
     """
-    sb = sd = 0
-    for s in gamma.sentences:
-        if isinstance(s, Belief):
-            sb |= 1 << models_of(s.body, universe)
-        else:
-            sd |= 1 << models_of(s.body, universe)
-    return sb, sd
+    memo = gamma._class_masks
+    masks = memo.get(universe.atoms)
+    if masks is None:
+        sb = sd = 0
+        for s in gamma.sentences:
+            if isinstance(s, Belief):
+                sb |= 1 << models_of(s.body, universe)
+            else:
+                sd |= 1 << models_of(s.body, universe)
+        masks = memo[universe.atoms] = sb, sd
+    return masks
 
 
 def members(bits: int) -> Iterator[int]:
@@ -247,3 +254,20 @@ def formula_for_class(mask: WorldSet, universe: AtomUniverse) -> Formula:
     if mask < 0 or mask > universe.full_mask:
         raise ValueError(f"mask {mask:#x} outside universe of {universe.n} atoms")
     return _formula_for_class(mask, universe.atoms)
+
+
+@lru_cache(maxsize=64)
+def _class_sentences(atoms: tuple[str, ...]) -> tuple[Sentence, ...]:
+    """Every class sentence over the universe of ``atoms``, built once and
+    shared: ``B: c`` at index c, then ``D: c`` at ``2^(2^n) + c``, each
+    body the class's :func:`formula_for_class` representative."""
+    universe = AtomUniverse(atoms)
+    reps = [formula_for_class(c, universe) for c in range(universe.full_mask + 1)]
+    return tuple(map(Belief, reps)) + tuple(map(Disbelief, reps))
+
+
+def _sentences_of(bits: int, universe: AtomUniverse) -> frozenset[Sentence]:
+    """The class sentences over ``universe`` that ``bits`` stands for, bit i
+    for index i of :func:`_class_sentences`."""
+    table = _class_sentences(universe.atoms)
+    return frozenset(table[i] for i in members(bits))

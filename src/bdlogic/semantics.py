@@ -37,8 +37,8 @@ from .plcore import (
     AtomUniverse,
     WorldSet,
     _classes_of,
+    _sentences_of,
     conjunction_mask,
-    formula_for_class,
     members,
     models_of,
     universe_for,
@@ -363,14 +363,9 @@ def brute_force_consequences(
     # the families satisfying ``D: c`` are dropped
     kept = np.bitwise_or.reduceat(row & space.complements, space.starts, axis=1) != 0
     disbelieved = ~(kept & space.fits[:, column].any(axis=1)).any(axis=1)
-    out: set[Sentence] = set()
-    for mask in np.flatnonzero(believed | disbelieved).tolist():
-        rep = formula_for_class(mask, universe)
-        if believed[mask]:
-            out.add(Belief(rep))
-        if disbelieved[mask]:
-            out.add(Disbelief(rep))
-    return frozenset(out)
+    # bit c for B: c, then bit S + c for D: c, as the class sentences lie
+    bits = np.packbits(np.concatenate((believed, disbelieved)), bitorder="little")
+    return _sentences_of(int.from_bytes(bits.tobytes(), "little"), universe)
 
 
 def enumerate_models(

@@ -157,20 +157,43 @@ def atoms_of(formula: Formula) -> frozenset[str]:
 
 
 class _SentenceNode:
-    """Base of the two sentence sorts: ``str`` is the ``B:``/``D:`` rendering."""
+    """Base of the two sentence sorts: ``str`` is the ``B:``/``D:`` rendering.
+
+    A sentence computes its structural hash once.  Hashing a formula
+    recurses through its whole tree, and sentences are hashed on every set
+    insertion.  The cached value is the dataclass's own, ``hash((body,))``,
+    kept outside the fields (so out of ``==``, ``repr`` and
+    ``dataclasses.replace``) and never pickled: string hashes differ from
+    one process to the next.
+    """
+
+    _hash = None  # the cached hash, set on first use
 
     def __str__(self) -> str:
         return render_sentence(self)  # type: ignore[arg-type]
 
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.body,))  # type: ignore[attr-defined]
+            object.__setattr__(self, "_hash", value)
+        return value
 
+    def __reduce__(self) -> tuple:
+        return type(self), (self.body,)  # type: ignore[attr-defined]
+
+
+# each class names the cached hash itself, or the dataclass would replace it
 @dataclass(frozen=True)
 class Belief(_SentenceNode):
     body: Formula
+    __hash__ = _SentenceNode.__hash__
 
 
 @dataclass(frozen=True)
 class Disbelief(_SentenceNode):
     body: Formula
+    __hash__ = _SentenceNode.__hash__
 
 
 Sentence = Union[Belief, Disbelief]
@@ -194,6 +217,12 @@ class InformationSet:
     def _ordered(self) -> tuple[Sentence, ...]:
         # the set is immutable, so it is sorted (and rendered) once
         return tuple(sorted(self.sentences, key=_sentence_sort_key))
+
+    @cached_property
+    def _class_masks(self) -> dict[tuple[str, ...], tuple[int, int]]:
+        """The classes of the believed and of the disbelieved bodies, per
+        universe's atoms: ``plcore._classes_of``'s memo, filled on demand."""
+        return {}
 
     @cached_property
     def _split(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:

@@ -71,3 +71,8 @@ def test_the_decision_procedures_import_no_checker():
     assert [i for i in imports if i[0] == "semantics"] == [
         ("semantics", ("construct_countermodel",), True)
     ]
+
+
+def test_the_closure_engine_imports_no_procedure_it_checks():
+    imported = {module for module, _, _ in bdlogic_imports("closure")}
+    assert not imported & {"bdlogic", "decision", "semantics", "metatheory", "cli"}

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from bdlogic import metatheory
-from bdlogic.closure import RULE_SETS, readings_agree
+from bdlogic import metatheory, readings_agree
+from bdlogic.closure import RULE_SETS
 from bdlogic.decision import _report, consequences, decide, inconsistency_report
 from bdlogic.metatheory import (
     REQUIRED_CASE_IDS,

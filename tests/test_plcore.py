@@ -7,27 +7,37 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bdlogic import (
+    LOGICS,
     MAX_ATOMS,
+    RULE_SETS,
     And,
     Atom,
     AtomLimitError,
     AtomUniverse,
+    Belief,
     Bottom,
+    Disbelief,
     Iff,
     Implies,
     Not,
     Or,
     Top,
+    brute_force_consequences,
+    build_universe,
+    close,
     conjunction_mask,
+    consequences,
     formula_for_class,
     is_contradiction,
     is_tautology,
     models_of,
     parse_formula,
+    parse_information_set,
     pl_entails,
     relevant_atoms,
     semantic_class,
 )
+from bdlogic import plcore
 
 from conftest import evaluate, formulas, valuation_for_world
 
@@ -174,3 +184,52 @@ def test_relevant_atoms_builds_sorted_universe():
     fs = [parse_formula("q & z"), parse_formula("a -> q")]
     assert relevant_atoms(fs).atoms == ("a", "q", "z")
     assert relevant_atoms([]).atoms == ()
+
+
+class TestClassSentences:
+    """Every class sentence of a small universe is built once per atom tuple."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_producer_hands_out_the_same_objects(self, n):
+        cu = build_universe(n)
+        u = AtomUniverse(cu.universe.atoms)  # equal, but not the same object
+        table = cu.sentences
+        assert build_universe(n).sentences is table
+        classes = range(u.full_mask + 1)
+        for c in classes:
+            rep = formula_for_class(c, u)
+            assert table[c] == Belief(rep) and table[len(classes) + c] == Disbelief(rep)
+        # B: false and D: true entail every sentence of the universe in wbd
+        gamma = parse_information_set("B: false\nD: true")
+        for produced in (
+            consequences("wbd", gamma, u),
+            brute_force_consequences("wbd", gamma, u),
+            close(RULE_SETS["wbd"], "derivability", gamma, cu),
+        ):
+            assert {id(s) for s in produced} == {id(s) for s in table}
+
+    @pytest.mark.parametrize("logic", LOGICS)
+    def test_a_slice_holds_the_table_objects(self, u2, logic):
+        table = build_universe(2).sentences
+        gamma = parse_information_set("B: p | q\nD: p & !q")
+        produced = [consequences(logic, gamma, u2)]
+        if logic != "bn":
+            produced.append(brute_force_consequences(logic, gamma, u2))
+        for sentences in produced:
+            assert sentences and all(table[table.index(s)] is s for s in sentences)
+
+
+class TestClassesOf:
+    def test_each_universe_gets_its_own_masks_and_the_set_is_unchanged(self, monkeypatch):
+        gamma = parse_information_set("B: p\nD: !p")
+        before = (repr(gamma), hash(gamma), parse_information_set("B: p\nD: !p") == gamma)
+        u1, u2 = AtomUniverse(["p"]), AtomUniverse(["p", "q"])
+        assert plcore._classes_of(gamma, u1) == (1 << 0b10, 1 << 0b01)
+        assert plcore._classes_of(gamma, u2) == (1 << 0b1010, 1 << 0b0101)
+        calls = []
+        monkeypatch.setattr(plcore, "models_of", lambda f, u: calls.append(f))
+        # read again under equal universes: kept on the set, nothing evaluated
+        assert plcore._classes_of(gamma, AtomUniverse(["p"])) == (1 << 0b10, 1 << 0b01)
+        assert plcore._classes_of(gamma, AtomUniverse(["q", "p"])) == (1 << 0b1010, 1 << 0b0101)
+        assert calls == []
+        assert (repr(gamma), hash(gamma), parse_information_set("B: p\nD: !p") == gamma) == before

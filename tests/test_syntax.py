@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -230,6 +236,57 @@ class TestInformationSet:
         assert Belief(p) in iset
         assert Disbelief(p) not in iset
         assert len(iset) == 2
+
+
+class TestSentenceHash:
+    def test_equal_sentences_built_apart_hash_equal(self):
+        for text, built in (
+            ("B: p & (q | !r)", Belief(And(p, Or(q, Not(r))))),
+            ("D: true", Disbelief(Top())),
+        ):
+            parsed = parse_sentence(text)
+            assert parsed == built and parsed is not built
+            assert hash(parsed) == hash(built) == hash(parse_sentence(text))
+            # the dataclass's own value, so set iteration orders are unchanged
+            assert hash(parsed) == hash((built.body,))
+
+    def test_the_cached_hash_is_not_part_of_the_sentence(self):
+        hashed, fresh = parse_sentence("D: p -> q"), parse_sentence("D: p -> q")
+        hash(hashed)
+        assert hashed == fresh
+        assert repr(hashed) == repr(fresh)
+        assert repr(hashed) == "Disbelief(body=Implies(left=Atom(name='p'), right=Atom(name='q')))"
+        assert [f.name for f in dataclasses.fields(hashed)] == ["body"]
+        moved = dataclasses.replace(hashed, body=r)
+        assert moved == Disbelief(r) and hash(moved) == hash(Disbelief(r))
+        assert pickle.dumps(hashed) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(hashed)) == hashed
+
+    def test_a_pickled_sentence_is_found_under_another_hash_seed(self):
+        sentence = parse_sentence("B: p & (q | !r)")
+        hash(sentence)
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        script = (
+            "import pickle, sys\n"
+            "from bdlogic import parse_sentence\n"
+            "loaded = pickle.load(sys.stdin.buffer)\n"
+            "fresh = parse_sentence('B: p & (q | !r)')\n"
+            "print(loaded in {fresh, parse_sentence('D: p')}, hash(fresh))\n"
+        )
+        import bdlogic
+
+        src = str(Path(bdlogic.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(sentence),
+            capture_output=True,
+            env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        found, child_hash = result.stdout.decode().split()
+        assert int(child_hash) != hash(sentence)  # the seed did change the hash
+        assert found == "True"
 
 
 def test_atoms_of_collects_every_atom():
