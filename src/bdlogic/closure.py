@@ -49,7 +49,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Literal
 
-from .plcore import AtomUniverse, _class_sentences, _classes_of, members
+from .plcore import (
+    AtomUniverse,
+    _class_sentences,
+    _classes_of,
+    _halves,
+    _sentences_of,
+    members,
+)
 from .syntax import InformationSet, Sentence
 from .verdicts import LogicId
 
@@ -391,28 +398,17 @@ class _Engine:
 def _close_classes(
     rules: Iterable[Rule],
     reading: RuleReading,
-    sb: int,
-    sd: int,
+    bits: int,
     cu: ClosureUniverse,
 ) -> int:
-    """Close the set with belief classes ``sb`` and disbelief classes ``sd``
-    (bit c for class c); bit i of the result stands for ``cu.sentences[i]``."""
+    """Close the set of class sentences ``bits`` stands for; bit i of the
+    argument and of the result stands for ``cu.sentences[i]``."""
     if reading not in ("membership", "derivability"):
         raise ValueError(f"unknown reading {reading!r}")
     engine = _Engine(frozenset(rules), reading, cu)
-    top = engine.register(sb, sd)
+    top = engine.register(*_halves(bits, cu.universe))
     engine.run()
     return top.beliefs | top.disbeliefs << len(cu.classes)
-
-
-def _close_bits(
-    rules: Iterable[Rule],
-    reading: RuleReading,
-    gamma: InformationSet,
-    cu: ClosureUniverse,
-) -> int:
-    """:func:`close` as bits, bit i standing for ``cu.sentences[i]``."""
-    return _close_classes(rules, reading, *_classes_of(gamma, cu.universe), cu)
 
 
 def close(
@@ -425,5 +421,5 @@ def close(
 
     Returns every derivable sentence of the universe, the seeds included.
     """
-    derived = _close_bits(rules, reading, gamma, cu)
-    return frozenset(cu.sentences[i] for i in members(derived))
+    u = cu.universe
+    return _sentences_of(_close_classes(rules, reading, _classes_of(gamma, u), cu), u)

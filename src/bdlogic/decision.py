@@ -17,9 +17,13 @@ logic     belief ``B: f``          disbelief ``D: f``
 
 Each logic is one rule over one record of a set's masks: the models of
 ``G_B`` and of ``~G_D`` and of each disbelieved formula.  The record is built
-whole, from the set's formulas or from its class masks.  These closed forms
-are validated against the brute-force model oracle and the rule-closure
-engine by the metatheory suite; they are not trusted on their own.
+whole, from the set's formulas or from its class sentences.  A set of class
+sentences over a universe of one or two atoms is one int, bit i standing for
+``plcore._class_sentences(atoms)[i]`` (``B: c`` at bit c, ``D: c`` at bit
+2^(2^n) + c); it goes in and a consequence slice comes out in that form,
+and only ``plcore._halves`` splits it.  These closed forms are validated
+against the brute-force model oracle and the rule-closure engine by the
+metatheory suite; they are not trusted on their own.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from typing import Callable, Optional
 from .plcore import (
     AtomUniverse,
     _classes_of,
+    _halves,
     _sentences_of,
     conjunction_mask,
     formula_for_class,
@@ -49,7 +54,7 @@ from .syntax import (
     Top,
     render_formula,
 )
-from .verdicts import LOGICS, LogicId, Rationale, Verdict
+from .verdicts import LogicId, Rationale, Verdict, _require_logic
 
 __all__ = [
     "decide",
@@ -72,7 +77,7 @@ class _Compiled:
     """A set over one universe, as the masks the rules read.
 
     :func:`_compile` builds it from the set's formulas and
-    :func:`_class_record` from class masks; both set every field at once.
+    :func:`_class_record` from class sentences; both set every field at once.
     """
 
     universe: AtomUniverse
@@ -102,16 +107,15 @@ def _compile(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
     )
 
 
-def _class_record(sb: int, sd: int, universe: AtomUniverse) -> _Compiled:
-    """The record of the set with belief classes ``sb`` and disbelief classes
-    ``sd`` (bit c for class c), each class's body its representative
-    :func:`formula_for_class`.
+def _class_record(bits: int, universe: AtomUniverse) -> _Compiled:
+    """The record of the set of class sentences ``bits`` stands for, each
+    class's body its representative :func:`formula_for_class`.
 
     For a set of class representatives it equals the record compiled from
     the set's formulas, but no formula is evaluated or rendered: the masks
     are the classes themselves, in ascending order.
     """
-    full = universe.full_mask
+    full, (sb, sd) = universe.full_mask, _halves(bits, universe)
     return _Compiled(
         universe,
         reduce(and_, members(sb), full),
@@ -268,8 +272,7 @@ def decide(
     Countermodels exist for wbd/gbd/bd only; for bn the verdict is returned
     without a witness.
     """
-    if logic not in _DECIDERS:
-        raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
+    _require_logic(logic)
     if universe is None:
         universe = universe_for(gamma, alpha)
     verdict = _DECIDERS[logic](gamma, alpha, universe)
@@ -331,8 +334,7 @@ def inconsistency_report(
 
     ``universe`` defaults to the atoms of ``gamma``.
     """
-    if logic not in _RULES:
-        raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
+    _require_logic(logic)
     u = universe if universe is not None else universe_for(gamma)
     return _report(logic, _compiled(gamma, u))
 
@@ -360,33 +362,34 @@ def _report(logic: LogicId, compiled: _Compiled) -> InconsistencyReport:
 # Finite consequence slices
 
 
-def _slice_masks(logic: LogicId, compiled: _Compiled) -> tuple[int, int]:
-    """The entailed belief and disbelief classes of one compiled set."""
+def _slice_masks(logic: LogicId, compiled: _Compiled) -> int:
+    """The entailed class sentences of one compiled set, as bits."""
     rule, masks = _RULES[logic], range(compiled.universe.full_mask + 1)
-    return tuple(  # type: ignore[return-value]
-        sum(1 << m for m in masks if rule(compiled, belief, m) is not None)
-        for belief in (True, False)
-    )
+    beliefs = sum(1 << m for m in masks if rule(compiled, True, m) is not None)
+    disbeliefs = sum(1 << m for m in masks if rule(compiled, False, m) is not None)
+    return beliefs | disbeliefs << len(masks)
 
 
 def consequence_masks(
     logic: LogicId, gamma: InformationSet, universe: AtomUniverse
-) -> tuple[int, int]:
-    """The entailed belief classes and disbelief classes, bit c for class c.
+) -> int:
+    """The entailed class sentences, bit i for index i of the universe's
+    class sentences (``B: c`` at bit c, ``D: c`` at bit 2^(2^n) + c).
 
     The slice has one belief and one disbelief per class, so it is finite:
     2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  Which sentences are
     entailed depends only on the classes of ``gamma``'s bodies, so those
     are read off once and each class mask is tested directly.
     """
-    # checked first: at 5 atoms, 1 << mask below can be a 2^32-bit int
+    _require_logic(logic)
+    # checked before the classes are read: at 5 atoms, 1 << mask can be a
+    # 2^32-bit int
     if universe.n > CONSEQUENCE_UNIVERSE_LIMIT:
         raise ValueError(
             f"consequence enumeration supports at most {CONSEQUENCE_UNIVERSE_LIMIT} "
             f"atoms, got {universe.n}"
         )
-    sb, sd = _classes_of(gamma, universe)
-    return _slice_masks(logic, _class_record(sb, sd, universe))
+    return _slice_masks(logic, _class_record(_classes_of(gamma, universe), universe))
 
 
 def consequences(
@@ -398,5 +401,4 @@ def consequences(
     universe's shared class sentences, whose bodies are the representatives
     of :func:`formula_for_class`.
     """
-    beliefs, disbeliefs = consequence_masks(logic, gamma, universe)
-    return _sentences_of(beliefs | disbeliefs << universe.full_mask + 1, universe)
+    return _sentences_of(consequence_masks(logic, gamma, universe), universe)

@@ -20,7 +20,9 @@ sets.
 A set of a closure universe's sentences is one int, bit i standing for
 ``cu.sentences[i]`` (the beliefs by class, then the disbeliefs), and so is
 every consequence slice, read through ``_slice``; subsets, unions and
-projections are bit operations.  An ``InformationSet`` is built only for
+projections are bit operations.  The decision kernel, the closure engine
+and ``plcore._classes_of`` take and give that int whole, and only
+``plcore._halves`` splits it into belief and disbelief classes.  An ``InformationSet`` is built only for
 a failure message and for the formula-level checks whose independence is
 their point: the enumeration oracle, countermodels, model counts,
 universe extension and the parsed canonical witnesses.
@@ -43,25 +45,22 @@ from .closure import (
     RULE_SETS,
     ClosureUniverse,
     Rule,
-    _close_bits,
     _close_classes,
     build_universe,
 )
 from .decision import (
     _RULES,
-    _Compiled,
     _class_record,
     _combined_witness,
     _report,
     _slice_masks,
-    consequence_masks,
     consequences,
     decide,
     inconsistency_report,
 )
 from .fixtures import agnostic, evaluate, lottery
 from .jsontext import dumps
-from .plcore import AtomUniverse, members
+from .plcore import AtomUniverse, _classes_of, _halves, members
 from .semantics import (
     ModelBD,
     ModelWBD,
@@ -286,27 +285,15 @@ def _set_of(cu: ClosureUniverse, bits: int) -> InformationSet:
     return InformationSet(frozenset(cu.sentences[i] for i in members(bits)))
 
 
-def _split_bits(cu: ClosureUniverse, bits: int) -> tuple[int, int]:
-    """The belief classes and the disbelief classes of a set given as bits."""
-    n = len(cu.classes)
-    return bits & (1 << n) - 1, bits >> n
-
-
 def _kinds(cu: ClosureUniverse) -> tuple[int, int]:
     """The bits of all the universe's beliefs and of all its disbeliefs."""
     n = len(cu.classes)
     return (1 << n) - 1, (1 << n) - 1 << n
 
 
-def _record(cu: ClosureUniverse, bits: int) -> _Compiled:
-    """The decision kernel's record of the set ``bits`` stands for."""
-    return _class_record(*_split_bits(cu, bits), cu.universe)
-
-
 def _slice(logic: LogicId, cu: ClosureUniverse, bits: int) -> int:
     """The set's ``logic`` consequences among ``cu.sentences``, as bits."""
-    b, d = _slice_masks(logic, _record(cu, bits))
-    return b | d << len(cu.classes)
+    return _slice_masks(logic, _class_record(bits, cu.universe))
 
 
 def generate_information_set(
@@ -393,7 +380,7 @@ def _tarskian(ctx: _Ctx, logic: LogicId) -> str:
     rule = _RULES[logic]
     for cu, bits in ctx.sampled_sets(60, 250):
         cons = _slice(logic, cu, bits)
-        record, n = _record(cu, bits), len(cu.classes)
+        record, n = _class_record(bits, cu.universe), len(cu.classes)
         ctx.check(
             all(rule(record, i < n, i % n) is not None for i in members(bits)),
             lambda: f"inclusion fails: Γ={_fmt(_set_of(cu, bits))}",
@@ -454,7 +441,7 @@ def _decoupling(ctx: _Ctx, logic: LogicId) -> str:
 def _belief_to_disbelief(ctx: _Ctx) -> str:
     for cu, bits in ctx.sampled_sets(80, 300):
         full = cu.universe.full_mask
-        bel, dis = _split_bits(cu, _slice("bd", cu, bits))
+        bel, dis = _halves(_slice("bd", cu, bits), cu.universe)
         for c in range(full + 1):
             ctx.check(
                 not (bel >> (full & ~c) & 1) or dis >> c & 1 == 1,
@@ -465,8 +452,9 @@ def _belief_to_disbelief(ctx: _Ctx) -> str:
     # the influence direction is real: dropping the beliefs loses disbeliefs
     cu1 = _cu(1)
     witness = 1 << (cu1.universe.full_mask & ~cu1.universe.atom_mask("p"))  # {B: !p}
-    dis_full = _slice("bd", cu1, witness) >> len(cu1.classes)
-    dis_proj = _slice("bd", cu1, witness & _kinds(cu1)[1]) >> len(cu1.classes)
+    disbeliefs = _kinds(cu1)[1]
+    dis_full = _slice("bd", cu1, witness) & disbeliefs
+    dis_proj = _slice("bd", cu1, witness & disbeliefs) & disbeliefs
     ctx.check(
         dis_proj & ~dis_full == 0 and dis_proj != dis_full,
         lambda: "expected Γ={B: !p} to disbelieve more than its projection",
@@ -505,7 +493,7 @@ def _disbelief_not_to_belief(ctx: _Ctx) -> str:
 def _inconsistency_collapse(ctx: _Ctx) -> str:
     converse_witnesses = 0
     for cu, bits in ctx.one_then_two_atom_sets(80, 300):
-        rep = _report("bd", _record(cu, bits))
+        rep = _report("bd", _class_record(bits, cu.universe))
         ctx.checks += 1
         if rep.combined_inconsistent != rep.d_inconsistent:
             ctx.fail(f"combined != d-inconsistent: Γ={_fmt(_set_of(cu, bits))}")
@@ -541,18 +529,17 @@ def _bprime_sweep(
     Returns each violation (Γ as sentence bits, f, g), the number of
     combined-consistent sets and the number of violations on them.  Counts
     one check per premise triple (f, g) with g believed.  Every verdict is
-    the bd rule's, on records built from class masks.
+    the bd rule's, on records built from sentence bits.
     """
     rule, u = _RULES["bd"], cu.universe
-    classes = range(u.full_mask + 1)
+    classes, n = range(u.full_mask + 1), len(cu.classes)
     violations: list[tuple[int, int, int]] = []
     consistent_sets = consistent_violations = 0
     # the empty set, then every singleton, then every pair
     for k in range(3):
         for combo in itertools.combinations(range(len(cu.sentences)), k):
             bits = sum(1 << i for i in combo)
-            sb, sd = _split_bits(cu, bits)
-            gamma = _class_record(sb, sd, u)
+            gamma = _class_record(bits, u)
             bel = [c for c in classes if rule(gamma, True, c) is not None]
             consistent = _combined_witness("bd", gamma) is None
             consistent_sets += consistent
@@ -561,7 +548,7 @@ def _bprime_sweep(
             for phi in classes:
                 if believed >> phi & 1:  # conclusion already holds
                     continue
-                grown = _class_record(sb, sd | 1 << phi, u)
+                grown = _class_record(bits | 1 << n + phi, u)
                 for psi in bel:
                     if rule(grown, False, psi) is not None:
                         violations.append((bits, phi, psi))
@@ -608,7 +595,7 @@ def _bprime_counterexample(ctx: _Ctx) -> str:
 def _collapse_bn(ctx: _Ctx) -> str:
     for cu, bits in ctx.one_then_two_atom_sets(80, 300):
         full = cu.universe.full_mask
-        bel, dis = _split_bits(cu, _slice("bn", cu, bits))
+        bel, dis = _halves(_slice("bn", cu, bits), cu.universe)
         for c in range(full + 1):
             ctx.check(
                 dis >> c & 1 == bel >> (full & ~c) & 1,
@@ -630,7 +617,7 @@ def _collapse_bn(ctx: _Ctx) -> str:
 def _dvee_polarity(ctx: _Ctx) -> str:
     # gbd: holds on samples
     for cu, bits in ctx.sampled_sets(60, 200):
-        _, dis = _split_bits(cu, _slice("gbd", cu, bits))
+        _, dis = _halves(_slice("gbd", cu, bits), cu.universe)
         for f, g in itertools.product(members(dis), repeat=2):
             ctx.check(
                 dis >> (f | g) & 1 == 1,
@@ -673,7 +660,7 @@ def _dvee_polarity(ctx: _Ctx) -> str:
 def _rej_gbd(ctx: _Ctx) -> str:
     for cu, bits in ctx.sampled_sets(60, 250):
         full = cu.universe.full_mask
-        _, dis = _split_bits(cu, _slice("gbd", cu, bits))
+        _, dis = _halves(_slice("gbd", cu, bits), cu.universe)
         for f in range(full + 1):
             for g in members(dis):
                 neg_imp = f & (full & ~g)  # class of !(f -> g)
@@ -791,14 +778,6 @@ class Disagreement:
         return f"Γ={{{gamma_text}}}: {render_sentence(self.sentence)} ({side})"
 
 
-def _sentence_bits(side: SideSpec, gamma: InformationSet, cu: ClosureUniverse) -> int:
-    """The consequences of one side; bit i stands for ``cu.sentences[i]``."""
-    if isinstance(side, str):
-        beliefs, disbeliefs = consequence_masks(side, gamma, cu.universe)
-        return beliefs | disbeliefs << len(cu.classes)
-    return _close_bits(*side, gamma, cu)  # type: ignore[arg-type]
-
-
 def readings_agree(
     a: SideSpec,
     b: SideSpec,
@@ -813,16 +792,30 @@ def readings_agree(
     """
     records: list[Disagreement] = []
     for gamma in samples:
-        left, right = _sentence_bits(a, gamma, cu), _sentence_bits(b, gamma, cu)
-        records += _disagreements(gamma, left, right, cu)
+        records += _disagreements(a, b, _classes_of(gamma, cu.universe), cu, gamma)
     return records
 
 
 def _disagreements(
-    gamma: InformationSet, left: int, right: int, cu: ClosureUniverse
+    a: SideSpec,
+    b: SideSpec,
+    bits: int,
+    cu: ClosureUniverse,
+    gamma: Optional[InformationSet] = None,
 ) -> list[Disagreement]:
-    """Where two sides' consequences of ``gamma`` differ, in ``cu.sentences``
-    order; bit i of ``left`` and ``right`` stands for ``cu.sentences[i]``."""
+    """Where two sides' consequences of the set ``bits`` stands for differ,
+    in ``cu.sentences`` order.  A logic side is read through ``_slice``.
+    The records name ``gamma``, or the set of ``bits``, built only where the
+    sides differ."""
+    left, right = [
+        _slice(side, cu, bits)
+        if isinstance(side, str)
+        else _close_classes(*side, bits, cu)  # type: ignore[arg-type]
+        for side in (a, b)
+    ]
+    if left == right:
+        return []
+    gamma = _set_of(cu, bits) if gamma is None else gamma
     return [
         Disagreement(gamma, cu.sentences[i], bool(left >> i & 1), not left >> i & 1)
         for i in members(left ^ right)
@@ -844,25 +837,6 @@ _VALIDATED_CLOSURES: dict[LogicId, list[tuple[frozenset[Rule], str]]] = {
 }
 
 
-def _closure_disagreements(
-    side: tuple[frozenset[Rule], str],
-    logic: LogicId,
-    sets: Sequence[int],
-    cu: ClosureUniverse,
-) -> Iterator[Disagreement]:
-    """``readings_agree(side, logic, ...)`` over sets given as sentence bits.
-
-    Both sides take the sets' class masks; a set is built only where they
-    differ, for the records.
-    """
-    rules, reading = side
-    for bits in sets:
-        left = _close_classes(rules, reading, *_split_bits(cu, bits), cu)
-        right = _slice(logic, cu, bits)
-        if left != right:
-            yield from _disagreements(_set_of(cu, bits), left, right, cu)
-
-
 @_case(
     "closure-decision-{logic}",
     "the validated {logic} rule set closes every set to exactly its "
@@ -878,11 +852,11 @@ def _closure_decision(ctx: _Ctx, logic: LogicId) -> str:
         ("1 atom", cu1, range(1 << len(cu1.sentences))),
         ("2 atoms", cu2, samples),
     ):
-        for rules, reading in sides:
-            records = _closure_disagreements((rules, reading), logic, sets, cu)
+        for side in sides:
+            records = (r for bits in sets for r in _disagreements(side, logic, bits, cu))
             ctx.checks += len(sets) * len(cu.sentences)
             for r in itertools.islice(records, 2):
-                ctx.fail(f"{label}, {reading}: {r.render()}")
+                ctx.fail(f"{label}, {side[1]}: {r.render()}")
 
     exhaustive_note = ""
     if ctx.scale == "full":
@@ -893,8 +867,7 @@ def _closure_decision(ctx: _Ctx, logic: LogicId) -> str:
                 bits = sum(1 << i for i in combo)
                 count += 1
                 ctx.check(
-                    next(_closure_disagreements(sides[0], logic, [bits], cu2), None)
-                    is None,
+                    not _disagreements(sides[0], logic, bits, cu2),
                     lambda: f"exhaustive: Γ={_fmt(_set_of(cu2, bits))}",
                     weight=len(cu2.sentences),
                 )
@@ -950,7 +923,7 @@ def _reading_gap(
     wrong.  ``note`` ends the summary, ``{gaps}`` counting those sets."""
     cu1 = _cu(1)
     sets = range(1 << len(cu1.sentences))
-    records = list(_closure_disagreements(stated, logic, sets, cu1))
+    records = [r for bits in sets for r in _disagreements(stated, logic, bits, cu1)]
     ctx.checks += len(sets) * len(cu1.sentences)
     overshoot = [r for r in records if r.in_a]
     if overshoot:
@@ -958,10 +931,11 @@ def _reading_gap(
     witness = (parse_information_set("B: !p"), parse_sentence("D: p"))
     if witness not in {(r.gamma, r.sentence) for r in records}:
         ctx.fail("witness (Γ={B: !p}, D: p) not found in the gap")
-    # each set's sentences are the universe's own, so their indices are its bits
     gap_sets = sorted({r.gamma for r in records}, key=_fmt)
-    gaps = [sum(1 << cu1.sentences.index(s) for s in g) for g in gap_sets]
-    still = next(_closure_disagreements(repaired, logic, gaps, cu1), None)
+    gaps = [_classes_of(g, cu1.universe) for g in gap_sets]
+    still = next(
+        (r for bits in gaps for r in _disagreements(repaired, logic, bits, cu1)), None
+    )
     ctx.checks += len(gaps) * len(cu1.sentences)
     if still is not None:
         ctx.fail(f"{still_differs}: {still.render()}")
@@ -980,7 +954,7 @@ def _d_inconsistency_readings(ctx: _Ctx) -> str:
     cu1 = _cu(1)
     literal_misses = 0
     for bits in range(1 << len(cu1.sentences)):
-        rep = _report("bd", _record(cu1, bits))
+        rep = _report("bd", _class_record(bits, cu1.universe))
         ctx.check(
             rep.d_inconsistent == rep.combined_inconsistent,
             lambda: f"full reading diverges: Γ={_fmt(_set_of(cu1, bits))}",
@@ -1009,18 +983,18 @@ def _d_inconsistency_readings(ctx: _Ctx) -> str:
 def _bprime_derived_rule(ctx: _Ctx) -> str:
     with_bp = RULE_SETS["bd"] | {Rule.BPrime}
     for cu, bits in ctx.sampled_sets(50, 150):
-        if _combined_witness("bd", _record(cu, bits)) is not None:
+        if _combined_witness("bd", _class_record(bits, cu.universe)) is not None:
             continue
-        sb, sd = _split_bits(cu, bits)
         ctx.check(
-            _close_classes(with_bp, "derivability", sb, sd, cu)
-            == _close_classes(RULE_SETS["bd"], "derivability", sb, sd, cu),
+            _close_classes(with_bp, "derivability", bits, cu)
+            == _close_classes(RULE_SETS["bd"], "derivability", bits, cu),
             lambda: f"consistent set grew: Γ={_fmt(_set_of(cu, bits))}",
         )
     cu2 = _cu(2)
-    q = cu2.universe.atom_mask("q")  # Γ={B: q; D: q}, as belief and disbelief classes
-    base = _close_classes(RULE_SETS["bd"], "derivability", 1 << q, 1 << q, cu2)
-    grown = _close_classes(with_bp, "derivability", 1 << q, 1 << q, cu2)
+    q = cu2.universe.atom_mask("q")
+    witness = 1 << q | 1 << len(cu2.classes) + q  # Γ={B: q; D: q}
+    base = _close_classes(RULE_SETS["bd"], "derivability", witness, cu2)
+    grown = _close_classes(with_bp, "derivability", witness, cu2)
     ctx.check(
         base & ~grown == 0 and base != grown,
         lambda: "Γ={B: q; D: q} should gain sentences from the extra rule",

@@ -154,26 +154,33 @@ def conjunction_mask(premises: Iterable[Formula], universe: AtomUniverse) -> Wor
     return mask
 
 
-def _classes_of(gamma: InformationSet, universe: AtomUniverse) -> tuple[int, int]:
-    """The classes of ``gamma``'s believed bodies and of its disbelieved
-    ones, bit c for class c.
+def _classes_of(gamma: InformationSet, universe: AtomUniverse) -> int:
+    """``gamma`` as a set of class sentences over ``universe``: bit i for
+    index i of :func:`_class_sentences`, so ``B: c`` at bit c and ``D: c``
+    at bit 2^(2^n) + c, c being the class of the body.
 
-    Reads the unordered ``gamma.sentences``: the masks do not depend on the
+    Reads the unordered ``gamma.sentences``: the bits do not depend on the
     order, so the set is never rendered or sorted for them.  The set is
-    immutable and the masks depend only on the universe's atoms, so they are
+    immutable and the bits depend only on the universe's atoms, so they are
     computed once per set and atom tuple and kept on the set.
     """
     memo = gamma._class_masks
-    masks = memo.get(universe.atoms)
-    if masks is None:
-        sb = sd = 0
+    bits = memo.get(universe.atoms)
+    if bits is None:
+        disbelief = universe.full_mask + 1
+        bits = 0
         for s in gamma.sentences:
-            if isinstance(s, Belief):
-                sb |= 1 << models_of(s.body, universe)
-            else:
-                sd |= 1 << models_of(s.body, universe)
-        masks = memo[universe.atoms] = sb, sd
-    return masks
+            c = models_of(s.body, universe)
+            bits |= 1 << (c if isinstance(s, Belief) else disbelief + c)
+        memo[universe.atoms] = bits
+    return bits
+
+
+def _halves(bits: int, universe: AtomUniverse) -> tuple[int, int]:
+    """The belief classes and the disbelief classes (bit c for class c) of
+    a set of class sentences given as bits: the one place that splits it."""
+    disbelief = universe.full_mask + 1
+    return bits & (1 << disbelief) - 1, bits >> disbelief
 
 
 def members(bits: int) -> Iterator[int]:

@@ -37,6 +37,7 @@ from .plcore import (
     AtomUniverse,
     WorldSet,
     _classes_of,
+    _halves,
     _sentences_of,
     conjunction_mask,
     members,
@@ -45,6 +46,7 @@ from .plcore import (
 )
 from .syntax import Belief, Disbelief, Formula, InformationSet, Not, Sentence
 from .verdicts import LogicId, Verdict
+from .verdicts import _require_logic
 
 if TYPE_CHECKING:
     import numpy as np
@@ -186,6 +188,7 @@ class _ModelSpace:
     def __init__(self, logic: LogicId, universe: AtomUniverse):
         import numpy as np
 
+        _require_logic(logic)
         if logic in ("wbd", "bd") and universe.n > _FAMILY_LOGIC_LIMIT:
             raise ScaleLimitError(
                 f"{logic} enumeration supports at most {_FAMILY_LOGIC_LIMIT} atoms, "
@@ -249,7 +252,7 @@ class _ModelSpace:
 
     def axes(self, gamma: InformationSet) -> tuple[np.ndarray, np.ndarray]:
         """``gamma`` as (column over ``m``, packed row over ``inner``)."""
-        sb, sd = _classes_of(gamma, self.universe)
+        sb, sd = _halves(_classes_of(gamma, self.universe), self.universe)
         column = self.beliefs[list(members(sb))].all(axis=0)
         row = self.valid
         for mask in members(sd):
@@ -402,6 +405,7 @@ def construct_countermodel(
     ``gamma`` and falsifies ``alpha`` (verified; a failure raises
     :class:`CountermodelConstructionError`).
     """
+    _require_logic(logic)
     if logic == "bn":
         raise ValueError("bn has no model semantics; no countermodel exists")
     u = universe if universe is not None else universe_for(gamma, alpha)

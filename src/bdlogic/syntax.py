@@ -219,9 +219,10 @@ class InformationSet:
         return tuple(sorted(self.sentences, key=_sentence_sort_key))
 
     @cached_property
-    def _class_masks(self) -> dict[tuple[str, ...], tuple[int, int]]:
-        """The classes of the believed and of the disbelieved bodies, per
-        universe's atoms: ``plcore._classes_of``'s memo, filled on demand."""
+    def _class_masks(self) -> dict[tuple[str, ...], int]:
+        """The set as one int of class sentences per universe's atoms (bit i
+        for ``plcore._class_sentences(atoms)[i]``, split only by
+        ``plcore._halves``): ``plcore._classes_of``'s memo, filled on demand."""
         return {}
 
     @cached_property

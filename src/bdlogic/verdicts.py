@@ -17,6 +17,13 @@ LogicId = Literal["wbd", "gbd", "bd", "bn"]
 LOGICS: tuple[LogicId, ...] = ("wbd", "gbd", "bd", "bn")
 
 
+def _require_logic(logic: str) -> None:
+    """Reject a name that is not one of :data:`LOGICS`, with one message
+    for every entry point."""
+    if logic not in LOGICS:
+        raise ValueError(f"unknown logic {logic!r}; expected one of {LOGICS}")
+
+
 @dataclass(frozen=True)
 class Rationale:
     """Which disjunct of a characterization fired, and on what.

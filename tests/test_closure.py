@@ -204,6 +204,14 @@ class TestAgainstDecisionProcedures:
         assert "D: p" in records[0].render() or any(
             "D: p" in r.render() for r in records
         )
+        # a body that is not its class's representative: the same gap, and
+        # the records name the caller's own set, not its representatives'
+        loose = parse_information_set("B: !p & !p")
+        loose_records = readings_agree(
+            (RULE_SETS["bd"], "membership"), "bd", [loose], cu1
+        )
+        assert [r.sentence for r in loose_records] == [r.sentence for r in records]
+        assert all(r.gamma is loose for r in loose_records)
 
     def test_readings_agree_empty_on_agreement(self, cu1):
         gamma = parse_information_set("B: p")

@@ -26,12 +26,14 @@ from bdlogic import (
     close,
     conjunction_mask,
     consequences,
+    construct_countermodel,
     count_models,
     decide,
     decide_bd,
     decide_bn,
     decide_gbd,
     decide_wbd,
+    enumerate_models,
     inconsistency_report,
     models_of,
     parse_information_set,
@@ -402,12 +404,12 @@ class TestClassRecord:
 
     def test_class_record_equals_the_formula_record(self, cu1, cu2):
         for cu, bits in self._sets(cu1, cu2):
-            u, n = cu.universe, len(cu.classes)
+            u = cu.universe
             gamma = InformationSet(
                 frozenset(s for i, s in enumerate(cu.sentences) if bits >> i & 1)
             )
             formulas = decision._compile(gamma, u)
-            classes = decision._class_record(bits & (1 << n) - 1, bits >> n, u)
+            classes = decision._class_record(bits, u)
             # the class builder lists the believed classes in ascending
             # order, not in rendering order; every other field is equal
             ordered = sorted(classes.belief_bodies, key=render_formula)
@@ -447,9 +449,9 @@ class TestClassRecord:
             raise AssertionError(f"rendered {formula!r}")
 
         monkeypatch.setattr(decision, "render_formula", refuse)
-        u, n = cu1.universe, len(cu1.classes)
+        u = cu1.universe
         for bits in range(1 << len(cu1.sentences)):
-            record = decision._class_record(bits & (1 << n) - 1, bits >> n, u)
+            record = decision._class_record(bits, u)
             for logic in LOGICS:
                 decision._slice_masks(logic, record)
 
@@ -467,3 +469,37 @@ def test_class_readers_leave_a_fresh_set_unsorted(cu2):
         gamma = parse_information_set("B: p | q\nB: !q\nD: q\nD: p & !q")
         read(gamma)
         assert "_ordered" not in vars(gamma)
+
+
+_U2 = AtomUniverse(["p", "q"])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda logic: consequences(logic, TWO_DISBELIEFS, _U2),
+        lambda logic: decision.consequence_masks(logic, TWO_DISBELIEFS, _U2),
+        lambda logic: brute_force_consequences(logic, TWO_DISBELIEFS, _U2),
+        lambda logic: brute_force_entails(logic, TWO_DISBELIEFS, Belief(p), _U2),
+        lambda logic: count_models(logic, TWO_DISBELIEFS, _U2),
+        lambda logic: list(enumerate_models(logic, TWO_DISBELIEFS, _U2)),
+        lambda logic: construct_countermodel(logic, TWO_DISBELIEFS, Belief(q), _U2),
+    ],
+    ids=[
+        "consequences",
+        "consequence_masks",
+        "brute_force_consequences",
+        "brute_force_entails",
+        "count_models",
+        "enumerate_models",
+        "construct_countermodel",
+    ],
+)
+def test_every_entry_point_rejects_an_unknown_logic(entry):
+    with pytest.raises(ValueError) as caught:
+        decide("xyz", TWO_DISBELIEFS, Belief(p))
+    want = str(caught.value)
+    assert want.startswith("unknown logic 'xyz'; expected one of")
+    with pytest.raises(ValueError) as caught:
+        entry("xyz")
+    assert str(caught.value) == want

@@ -12,7 +12,7 @@ import pytest
 
 from bdlogic import metatheory, readings_agree
 from bdlogic.closure import RULE_SETS
-from bdlogic.decision import _report, consequences, decide, inconsistency_report
+from bdlogic.decision import _class_record, _report, consequences, decide, inconsistency_report
 from bdlogic.metatheory import (
     REQUIRED_CASE_IDS,
     PropertyReport,
@@ -224,10 +224,10 @@ def test_closure_sweep_records_match_readings_agree(cu1, cu2):
     sets = range(1 << len(cu1.sentences))
     want = readings_agree(side, "bd", [metatheory._set_of(cu1, k) for k in sets], cu1)
     assert want
-    assert list(metatheory._closure_disagreements(side, "bd", sets, cu1)) == want
+    assert [r for k in sets for r in metatheory._disagreements(side, "bd", k, cu1)] == want
     rng = random.Random(4)
     samples = [metatheory._sampled_bits(cu2, 4, rng) for _ in range(60)]
-    assert list(metatheory._closure_disagreements(side, "bd", samples, cu2)) == (
+    assert [r for b in samples for r in metatheory._disagreements(side, "bd", b, cu2)] == (
         readings_agree(side, "bd", [metatheory._set_of(cu2, b) for b in samples], cu2)
     )
 
@@ -262,6 +262,6 @@ def test_slice_and_report_match_the_formula_level_entry_points(cu1, cu2):
             cons = consequences(logic, gamma, cu.universe)
             want = sum(1 << cu.sentences.index(s) for s in cons)
             assert metatheory._slice(logic, cu, bits) == want, (logic, gamma)
-            got = _report(logic, metatheory._record(cu, bits))
+            got = _report(logic, _class_record(bits, cu.universe))
             want_flags = flags(inconsistency_report(logic, gamma))
             assert flags(got) == want_flags, (logic, gamma)

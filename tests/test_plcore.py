@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from bdlogic import (
     Disbelief,
     Iff,
     Implies,
+    InformationSet,
     Not,
     Or,
     Top,
@@ -37,7 +40,7 @@ from bdlogic import (
     relevant_atoms,
     semantic_class,
 )
-from bdlogic import plcore
+from bdlogic import metatheory, plcore
 
 from conftest import evaluate, formulas, valuation_for_world
 
@@ -224,12 +227,36 @@ class TestClassesOf:
         gamma = parse_information_set("B: p\nD: !p")
         before = (repr(gamma), hash(gamma), parse_information_set("B: p\nD: !p") == gamma)
         u1, u2 = AtomUniverse(["p"]), AtomUniverse(["p", "q"])
-        assert plcore._classes_of(gamma, u1) == (1 << 0b10, 1 << 0b01)
-        assert plcore._classes_of(gamma, u2) == (1 << 0b1010, 1 << 0b0101)
+        assert plcore._classes_of(gamma, u1) == 1 << 0b10 | 1 << 4 + 0b01
+        assert plcore._classes_of(gamma, u2) == 1 << 0b1010 | 1 << 16 + 0b0101
         calls = []
         monkeypatch.setattr(plcore, "models_of", lambda f, u: calls.append(f))
         # read again under equal universes: kept on the set, nothing evaluated
-        assert plcore._classes_of(gamma, AtomUniverse(["p"])) == (1 << 0b10, 1 << 0b01)
-        assert plcore._classes_of(gamma, AtomUniverse(["q", "p"])) == (1 << 0b1010, 1 << 0b0101)
+        assert plcore._classes_of(gamma, AtomUniverse(["p"])) == 1 << 0b10 | 1 << 4 + 0b01
+        assert plcore._classes_of(gamma, AtomUniverse(["q", "p"])) == 1 << 0b1010 | 1 << 16 + 0b0101
         assert calls == []
         assert (repr(gamma), hash(gamma), parse_information_set("B: p\nD: !p") == gamma) == before
+
+    def test_the_bits_are_the_class_sentence_layout(self, cu1, cu2):
+        # bit i is _class_sentences(atoms)[i] going in and coming out, and
+        # _halves splits at bit 2^(2^n): beliefs below, disbeliefs above
+        rng = random.Random(7)
+        pool = range(len(cu2.sentences))
+        samples = [sum(1 << i for i in rng.sample(pool, rng.randint(0, 8))) for _ in range(60)]
+        for cu, sets in ((cu1, range(256)), (cu2, samples)):
+            u, split = cu.universe, 1 << cu.universe.world_count
+            for bits in sets:
+                gamma = metatheory._set_of(cu, bits)
+                fresh = InformationSet(gamma.sentences)  # its own empty memo
+                assert plcore._classes_of(fresh, u) == bits
+                assert plcore._sentences_of(bits, u) == gamma.sentences
+                assert plcore._halves(bits, u) == (bits % (1 << split), bits >> split)
+
+    def test_non_representative_bodies_map_to_their_representatives(self, cu2):
+        u = cu2.universe
+        gamma = parse_information_set("B: p & p\nD: q | q")
+        want = parse_information_set("B: p\nD: q")
+        bits = plcore._classes_of(gamma, u)
+        assert bits == 1 << u.atom_mask("p") | 1 << 16 + u.atom_mask("q")
+        assert bits == plcore._classes_of(want, u)
+        assert plcore._sentences_of(bits, u) == want.sentences
