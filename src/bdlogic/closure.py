@@ -420,6 +420,7 @@ def close(
     """Close ``gamma`` (mapped onto class representatives) under ``rules``.
 
     Returns every derivable sentence of the universe, the seeds included.
+    An unknown rule name raises ``ValueError``.
     """
-    u = cu.universe
+    rules, u = frozenset(map(Rule, rules)), cu.universe
     return _sentences_of(_close_classes(rules, reading, _classes_of(gamma, u), cu), u)

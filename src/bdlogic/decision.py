@@ -17,13 +17,16 @@ logic     belief ``B: f``          disbelief ``D: f``
 
 Each logic is one rule over one record of a set's masks: the models of
 ``G_B`` and of ``~G_D`` and of each disbelieved formula.  The record is built
-whole, from the set's formulas or from its class sentences.  A set of class
-sentences over a universe of one or two atoms is one int, bit i standing for
-``plcore._class_sentences(atoms)[i]`` (``B: c`` at bit c, ``D: c`` at bit
-2^(2^n) + c); it goes in and a consequence slice comes out in that form,
-and only ``plcore._halves`` splits it.  These closed forms are validated
-against the brute-force model oracle and the rule-closure engine by the
-metatheory suite; they are not trusted on their own.
+whole, from the set's formulas (once per set and atom tuple, kept on the
+set) or from its class sentences.  A rule answers with the name of the
+disjunct that fired; only :func:`decide` turns it into a ``Rationale``.
+A set of class sentences over a universe of one or two atoms is one int,
+bit i standing for ``plcore._class_sentences(atoms)[i]`` (``B: c`` at bit
+c, ``D: c`` at bit 2^(2^n) + c); it goes in and a consequence slice comes
+out in that form, and only ``plcore._halves`` splits it.  These closed
+forms are validated against the brute-force model oracle and the
+rule-closure engine by the metatheory suite; they are not trusted on their
+own.
 """
 
 from __future__ import annotations
@@ -125,88 +128,68 @@ def _class_record(bits: int, universe: AtomUniverse) -> _Compiled:
     )
 
 
-# The last record handed out, as one (gamma, universe, record) tuple.  It is
-# reused only for the very same gamma and universe objects, so the logics of
-# one request share it and no request is answered from another's data; a
-# concurrent caller at worst compiles again.
-_last_compiled: Optional[tuple[InformationSet, AtomUniverse, _Compiled]] = None
-
-
 def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
-    """``gamma`` compiled over ``universe``, shared with the previous call."""
-    global _last_compiled
-    last = _last_compiled
-    if last is not None and last[0] is gamma and last[1] is universe:
-        return last[2]
-    record = _compile(gamma, universe)
-    _last_compiled = (gamma, universe, record)
+    """``gamma`` compiled over ``universe``: once per set and atom tuple,
+    kept on the set as :func:`plcore._classes_of` keeps its class masks."""
+    memo = gamma._records
+    record = memo.get(universe.atoms)
+    if record is None:
+        record = memo[universe.atoms] = _compile(gamma, universe)
     return record
 
 
-# A rule maps (compiled gamma, is the query a belief, query mask) to the
-# rationale of an entailment, or None.  wbd/gbd/bd share the belief branch.
+# A rule maps (compiled gamma, is the query a belief, query mask) to None or
+# to the entailing disjunct's name and the disbelieved body it used (WD and
+# D; None otherwise).  Only _decide turns the name into a Rationale.
+_Fired = Optional[tuple[str, Optional[Formula]]]
 
-_BELIEVED = Rationale("B", description="classical consequence of the beliefs")
-_UNSATISFIABLE = Rationale("DBot", description="the queried formula is unsatisfiable")
-_DUAL_REFUTES = Rationale(
-    "GD", description="the negated disbeliefs jointly refute the query"
-)
-_BELIEFS_REFUTE = Rationale(
-    "BtoD", description="the beliefs classically refute the query"
-)
-_POOL_ENTAILS = Rationale(
-    "BN", description="consequence of the beliefs plus the negated disbeliefs"
-)
-
-
-def _belief_rule(c: _Compiled, mask: int) -> Optional[Rationale]:
-    return _BELIEVED if c.beliefs & ~mask == 0 else None
+_DESCRIPTIONS = {
+    "B": "classical consequence of the beliefs",
+    "DBot": "the queried formula is unsatisfiable",
+    "WD": "the query implies a disbelieved formula",
+    "GD": "the negated disbeliefs jointly refute the query",
+    "BtoD": "the beliefs classically refute the query",
+    "D": "the beliefs plus the query imply a disbelieved formula",
+    "BN": "consequence of the beliefs plus the negated disbeliefs",
+}
 
 
-def _rule_wbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+def _rule_wbd(c: _Compiled, belief: bool, mask: int) -> _Fired:
     if belief:
-        return _belief_rule(c, mask)
+        return ("B", None) if c.beliefs & ~mask == 0 else None
     if mask == 0:
-        return _UNSATISFIABLE
+        return ("DBot", None)
     for witness, body in c.witnesses:
         if mask & ~witness == 0:
-            return Rationale(
-                "WD",
-                witness_disbelief=body,
-                description="the query implies a disbelieved formula",
-            )
+            return ("WD", body)
     return None
 
 
-def _rule_gbd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+def _rule_gbd(c: _Compiled, belief: bool, mask: int) -> _Fired:
     if belief:
-        return _belief_rule(c, mask)
-    return _DUAL_REFUTES if c.dual & mask == 0 else None
+        return ("B", None) if c.beliefs & ~mask == 0 else None
+    return ("GD", None) if c.dual & mask == 0 else None
 
 
-def _rule_bd(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+def _rule_bd(c: _Compiled, belief: bool, mask: int) -> _Fired:
     if belief:
-        return _belief_rule(c, mask)
+        return ("B", None) if c.beliefs & ~mask == 0 else None
     if mask == 0:
-        return _UNSATISFIABLE
+        return ("DBot", None)
     if c.beliefs & mask == 0:
-        return _BELIEFS_REFUTE
+        return ("BtoD", None)
     for witness, body in c.witnesses:
         if c.beliefs & mask & ~witness == 0:
-            return Rationale(
-                "D",
-                witness_disbelief=body,
-                description="the beliefs plus the query imply a disbelieved formula",
-            )
+            return ("D", body)
     return None
 
 
-def _rule_bn(c: _Compiled, belief: bool, mask: int) -> Optional[Rationale]:
+def _rule_bn(c: _Compiled, belief: bool, mask: int) -> _Fired:
     pool = c.beliefs & c.dual
-    return _POOL_ENTAILS if pool & (~mask if belief else mask) == 0 else None
+    return ("BN", None) if pool & (~mask if belief else mask) == 0 else None
 
 
-_RULES: dict[LogicId, Callable[[_Compiled, bool, int], Optional[Rationale]]] = {
+_RULES: dict[LogicId, Callable[[_Compiled, bool, int], _Fired]] = {
     "wbd": _rule_wbd,
     "gbd": _rule_gbd,
     "bd": _rule_bd,
@@ -222,10 +205,9 @@ def _decide(
 ) -> Verdict:
     u = universe if universe is not None else universe_for(gamma, alpha)
     belief = isinstance(alpha, Belief)
-    rationale = _RULES[logic](_compiled(gamma, u), belief, models_of(alpha.body, u))
-    return Verdict(
-        logic=logic, query=alpha, entailed=rationale is not None, rationale=rationale
-    )
+    fired = _RULES[logic](_compiled(gamma, u), belief, models_of(alpha.body, u))
+    rationale = None if fired is None else Rationale(*fired, _DESCRIPTIONS[fired[0]])
+    return Verdict(logic, alpha, entailed=fired is not None, rationale=rationale)
 
 
 def decide_wbd(

@@ -78,7 +78,7 @@ from .syntax import (
     parse_sentence,
     render_sentence,
 )
-from .verdicts import LOGICS, LogicId
+from .verdicts import LOGICS, LogicId, _require_logic
 
 __all__ = [
     "PropertyCase",
@@ -788,12 +788,22 @@ def readings_agree(
 
     A side is either a logic name (its decision procedure) or a
     ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
-    Each set's records come in ``cu.sentences`` order.
+    Each set's records come in ``cu.sentences`` order.  Unknown logic or
+    rule names raise ``ValueError`` before any set is read.
     """
+    a, b = _checked_side(a), _checked_side(b)
     records: list[Disagreement] = []
     for gamma in samples:
         records += _disagreements(a, b, _classes_of(gamma, cu.universe), cu, gamma)
     return records
+
+
+def _checked_side(side: SideSpec) -> SideSpec:
+    """``side`` with its logic name checked, or its rule names as ``Rule``s."""
+    if isinstance(side, str):
+        _require_logic(side)
+        return side
+    return frozenset(map(Rule, side[0])), side[1]
 
 
 def _disagreements(

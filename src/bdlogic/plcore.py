@@ -129,8 +129,11 @@ def models_of(formula: Formula, universe: AtomUniverse) -> WorldSet:
         return 0
     if isinstance(formula, Not):
         return full & ~models_of(formula.operand, universe)
-    left = models_of(formula.left, universe)
-    right = models_of(formula.right, universe)
+    try:
+        left, right = formula.left, formula.right
+    except AttributeError:  # no operands: a sentence, a string, ...
+        raise TypeError(f"not a formula: {formula!r}") from None
+    left, right = models_of(left, universe), models_of(right, universe)
     if isinstance(formula, And):
         return left & right
     if isinstance(formula, Or):

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, or_
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .plcore import (
@@ -44,7 +46,7 @@ from .plcore import (
     models_of,
     universe_for,
 )
-from .syntax import Belief, Disbelief, Formula, InformationSet, Not, Sentence
+from .syntax import Belief, Disbelief, InformationSet, Not, Sentence
 from .verdicts import LogicId, Verdict
 from .verdicts import _require_logic
 
@@ -442,9 +444,21 @@ def construct_countermodel(
 # Rendering
 
 
+def _world_list(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def _world_names(mask: int) -> str:
-    worlds = [f"v{i}" for i in range(mask.bit_length()) if mask >> i & 1]
-    return "{" + ", ".join(worlds) + "}"
+    return "{" + ", ".join(f"v{i}" for i in _world_list(mask)) + "}"
+
+
+def _valuation_table(empty, parts, join) -> list:
+    """Valuation v's entry at index v, built by doubling from each atom's
+    (false, true) parts: v and v + 2^k agree below atom k."""
+    table = [empty]
+    for false, true in parts:
+        table = [*map(join, table, repeat(false)), *map(join, table, repeat(true))]
+    return table
 
 
 def render_model(model: Model) -> str:
@@ -454,27 +468,16 @@ def render_model(model: Model) -> str:
     else:
         members = ", ".join(_world_names(x) for x in sorted(model.family))
         head = f"M = {_world_names(model.m)}; N = {{{members}}}"
-    # valuation v's assignment, by doubling: v and v + 2^k agree below atom k
-    assignments = [""]
-    for k, name in enumerate(model.universe.atoms):
-        sep = ", " if k else ""
-        false, true = f"{sep}{name}=false", f"{sep}{name}=true"
-        assignments = [a + false for a in assignments] + [a + true for a in assignments]
-    legend = [f"  v{v}: {a or '(no atoms)'}" for v, a in enumerate(assignments)]
+    parts = [((f"{a}=false",), (f"{a}=true",)) for a in model.universe.atoms]
+    table = _valuation_table((), parts, add)
+    legend = [f"  v{v}: {', '.join(a) or '(no atoms)'}" for v, a in enumerate(table)]
     return "\n".join([head, *legend])
-
-
-def _world_list(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def model_to_dict(model: Model) -> dict:
     universe = model.universe
-    # valuation v's assignment, by doubling as in render_model
-    valuations: list[dict[str, bool]] = [{}]
-    for name in universe.atoms:
-        false, true = {name: False}, {name: True}
-        valuations = [a | false for a in valuations] + [a | true for a in valuations]
+    parts = [({a: False}, {a: True}) for a in universe.atoms]
+    valuations = _valuation_table({}, parts, or_)
     payload: dict = {
         "atoms": list(universe.atoms),
         "m": _world_list(model.m),

@@ -226,6 +226,11 @@ class InformationSet:
         return {}
 
     @cached_property
+    def _records(self) -> dict[tuple[str, ...], object]:
+        """``decision._compiled``'s memo: a record per atom tuple, filled on demand."""
+        return {}
+
+    @cached_property
     def _split(self) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         """The projections below, in their order, built once from ``_ordered``."""
         beliefs = tuple(s for s in self._ordered if isinstance(s, Belief))

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional, Union
 
-from .syntax import Sentence, render_formula, render_sentence
-from .syntax import Formula
+from .syntax import Formula, Sentence, render_formula, render_sentence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .semantics import ModelBD, ModelGBD, ModelWBD

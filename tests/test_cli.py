@@ -225,6 +225,18 @@ def test_three_hundred_nested_parentheses_are_answered(capsys, tmp_path, argv):
     assert out and err == ""
 
 
+@pytest.mark.parametrize(
+    "argv", [("check", "--query", "B: a0"), ("consistency", "--logic", "all")]
+)
+def test_seventeen_atoms_are_over_the_stated_limit(capsys, tmp_path, argv):
+    # the README states the limit: 16 atoms, exit 2, one line on stderr
+    wide = tmp_path / "wide17.bdl"
+    wide.write_text("".join(f"B: a{i}\n" for i in range(17)))
+    code, out, err = run(capsys, argv[0], str(wide), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: universe has 17 atoms; the limit is 16\n"
+
+
 class TestConsistency:
     def test_inconsistent_set_exits_one(self, capsys, agnostic_file):
         code, out, _ = run(capsys, "consistency", agnostic_file, "--logic", "gbd")

@@ -135,6 +135,19 @@ class TestClose:
         with pytest.raises(ValueError):
             close(RULE_SETS["bd"], "syntactic", InformationSet(), cu1)
 
+    @pytest.mark.parametrize("rules", [{"bogus"}, {"b"}, {Rule.B, "DBOT"}])
+    def test_unknown_rule_name_rejected(self, cu1, rules):
+        # not closed under the empty rule set: the unknown name is refused
+        with pytest.raises(ValueError, match="is not a valid Rule"):
+            close(rules, "derivability", parse_information_set("B: p"), cu1)
+
+    def test_rule_names_read_as_rules(self, cu1):
+        gamma = parse_information_set("B: p\nD: !p")
+        names = {rule.value for rule in RULE_SETS["bd"]}
+        assert close(names, "derivability", gamma, cu1) == close(
+            RULE_SETS["bd"], "derivability", gamma, cu1
+        )
+
     @settings(max_examples=30)
     @given(gamma=information_sets(max_size=3, max_leaves=4))
     def test_closure_is_monotone_and_idempotent_per_reading(self, cu2, gamma):
@@ -212,6 +225,21 @@ class TestAgainstDecisionProcedures:
         )
         assert [r.sentence for r in loose_records] == [r.sentence for r in records]
         assert all(r.gamma is loose for r in loose_records)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("xyz", "bd", "unknown logic 'xyz'"),
+            ("bd", "BD", "unknown logic 'BD'"),
+            (({"b"}, "derivability"), "bd", "is not a valid Rule"),
+            ("wbd", ({Rule.B, "bogus"}, "membership"), "is not a valid Rule"),
+        ],
+    )
+    def test_readings_agree_refuses_unknown_names(self, cu1, a, b, message):
+        # refused before any set is read, so also with no samples
+        for samples in ([parse_information_set("B: p")], []):
+            with pytest.raises(ValueError, match=message):
+                readings_agree(a, b, samples, cu1)
 
     def test_readings_agree_empty_on_agreement(self, cu1):
         gamma = parse_information_set("B: p")

@@ -296,7 +296,7 @@ class TestInconsistencyReport:
 
 
 class TestCompileOnce:
-    """The logics of one request share one compiled gamma, keyed by identity."""
+    """A set is compiled once per atom tuple, and the record is kept on it."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -308,7 +308,6 @@ class TestCompileOnce:
             return real(gamma, universe)
 
         monkeypatch.setattr(decision, "_compile", counting)
-        monkeypatch.setattr(decision, "_last_compiled", None)
         return records
 
     def test_check_all_compiles_gamma_once(self, built, tmp_path):
@@ -332,10 +331,38 @@ class TestCompileOnce:
         u = AtomUniverse(("k", "m"))
         for gamma in (first, second, first):
             decide("bd", gamma, query, u)
-        assert len(built) == 3
+        assert len(built) == 2
         decide("bd", first, query, u)
         decide("bd", first, query, AtomUniverse(("k", "m")))
-        assert len(built) == 4
+        assert len(built) == 2
+
+    def test_reports_without_a_universe_compile_gamma_once(self, built):
+        # each call builds its own universe from gamma's atoms
+        gamma = parse_information_set("B: s\nB: k -> m\nD: s & m\n")
+        for logic in LOGICS:
+            inconsistency_report(logic, gamma)
+        assert built == [gamma]
+
+    def test_equal_universes_share_the_record(self, built):
+        # a fresh set: MURDER may hold records from other tests
+        gamma, query = parse_information_set(str(MURDER)), parse_sentence("D: k")
+        first, second = AtomUniverse(("k", "m", "s")), AtomUniverse(("m", "s", "k"))
+        assert first is not second
+        assert decide("bd", gamma, query, first) == decide("bd", gamma, query, second)
+        assert len(built) == 1
+        # a universe with other atoms is another record
+        decide("bd", gamma, query, AtomUniverse(("k", "m", "s", "z")))
+        assert len(built) == 2
+
+    def test_the_record_is_not_part_of_the_set(self):
+        text = "B: k -> m\nD: m\nD: k & !m"
+        compiled, fresh = parse_information_set(text), parse_information_set(text)
+        before = (hash(compiled), repr(compiled))
+        decide("bd", compiled, parse_sentence("D: k"))
+        inconsistency_report("wbd", compiled)
+        assert compiled._records and not fresh._records
+        assert compiled == fresh and hash(compiled) == hash(fresh)
+        assert (hash(compiled), repr(compiled)) == before == (hash(fresh), repr(fresh))
 
 
 class TestDisbeliefProjection:
@@ -356,7 +383,6 @@ class TestDisbeliefProjection:
         monkeypatch.setattr(
             decision, "conjunction_mask", counted(conjunction_mask, True)
         )
-        monkeypatch.setattr(decision, "_last_compiled", None)
         doc = tmp_path / "two-three.bdl"
         doc.write_text("B: p\nB: q -> r\nD: p & r\nD: q\nD: !r\n")
         main(["consistency", str(doc), "--logic", "all"])
@@ -427,7 +453,9 @@ class TestClassRecord:
                 rule = decision._RULES[logic]
                 for s in cu.sentences:
                     got = rule(classes, isinstance(s, Belief), models_of(s.body, u))
-                    assert got == decide(logic, gamma, s, u).rationale, (where, s)
+                    why = decide(logic, gamma, s, u).rationale
+                    want = None if why is None else (why.rule, why.witness_disbelief)
+                    assert got == want, (where, s)
 
     def test_consequence_masks_reads_only_the_classes_of_the_bodies(self, u2):
         # equivalent bodies that are not class representatives give the

@@ -53,6 +53,11 @@ def test_lottery_ticket_bounds():
             lottery(bad)
 
 
+def test_exactly_one_needs_a_formula():
+    with pytest.raises(ValueError, match="at least one formula"):
+        exactly_one([])
+
+
 def test_exactly_one_semantics():
     p, q = Atom("p"), Atom("q")
     u = AtomUniverse(("p", "q"))

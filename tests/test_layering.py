@@ -76,3 +76,15 @@ def test_the_decision_procedures_import_no_checker():
 def test_the_closure_engine_imports_no_procedure_it_checks():
     imported = {module for module, _, _ in bdlogic_imports("closure")}
     assert not imported & {"bdlogic", "decision", "semantics", "metatheory", "cli"}
+
+
+def test_no_module_rebinds_its_globals():
+    # module-level mutable state shared between calls is kept on the
+    # objects it belongs to (a set's memos) or in bounded caches instead
+    found = [
+        (path.name, node.lineno, node.names)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

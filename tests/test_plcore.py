@@ -108,6 +108,16 @@ class TestModelsOf:
         with pytest.raises(KeyError):
             models_of(q, u1)
 
+    @pytest.mark.parametrize("thing", [Belief(p), "p & p", None])
+    def test_only_formulas_have_models(self, u1, thing):
+        with pytest.raises(TypeError, match="not a formula"):
+            models_of(thing, u1)
+
+    @pytest.mark.parametrize("mask", [-1, 0b10000])
+    def test_class_outside_the_universe_has_no_representative(self, u2, mask):
+        with pytest.raises(ValueError, match="outside universe of 2 atoms"):
+            formula_for_class(mask, u2)
+
 
 class TestEntailment:
     def test_basics(self):

@@ -215,6 +215,16 @@ class TestEnumeration:
         assert len(listed) == count_models(logic, gamma, u1)
         assert all(holds_all(m, gamma) for m in listed)
 
+    def test_bn_has_no_models_to_enumerate(self, u1):
+        gamma, alpha = parse_information_set("B: p"), parse_sentence("B: p")
+        message = "bn has no model semantics to enumerate"
+        with pytest.raises(ValueError, match=message):
+            brute_force_entails("bn", gamma, alpha, u1)
+        with pytest.raises(ValueError, match=message):
+            count_models("bn", gamma, u1)
+        with pytest.raises(ValueError, match=message):
+            list(enumerate_models("bn", gamma, u1))
+
     def test_scale_guards(self):
         u3 = AtomUniverse(("p", "q", "r"))
         u4 = AtomUniverse(("a", "b", "c", "d"))

@@ -91,6 +91,11 @@ class TestParseFormula:
         with pytest.raises(ParseError):
             parse_formula(text)
 
+    @pytest.mark.parametrize("name", ["P", "1p", "", "p-q"])
+    def test_atom_names_are_checked(self, name):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Atom(name)
+
     def test_error_carries_position_and_expectations(self):
         with pytest.raises(ParseError) as err:
             parse_formula("p & ")
