@@ -47,7 +47,7 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Literal
+from typing import Iterable, Literal, get_args
 
 from .plcore import (
     AtomUniverse,
@@ -395,6 +395,17 @@ class _Engine:
         return True
 
 
+def _rule_side(
+    rules: Iterable[Rule | str], reading: str
+) -> tuple[frozenset[Rule], RuleReading]:
+    """``rules`` as ``Rule``s, and ``reading`` checked: an unknown rule name
+    or reading raises ``ValueError``."""
+    rule_set = frozenset(map(Rule, rules))
+    if reading not in get_args(RuleReading):
+        raise ValueError(f"unknown reading {reading!r}")
+    return rule_set, reading  # type: ignore[return-value]
+
+
 def _close_classes(
     rules: Iterable[Rule],
     reading: RuleReading,
@@ -402,9 +413,8 @@ def _close_classes(
     cu: ClosureUniverse,
 ) -> int:
     """Close the set of class sentences ``bits`` stands for; bit i of the
-    argument and of the result stands for ``cu.sentences[i]``."""
-    if reading not in ("membership", "derivability"):
-        raise ValueError(f"unknown reading {reading!r}")
+    argument and of the result stands for ``cu.sentences[i]``.  ``rules``
+    and ``reading`` are taken as checked (see :func:`_rule_side`)."""
     engine = _Engine(frozenset(rules), reading, cu)
     top = engine.register(*_halves(bits, cu.universe))
     engine.run()
@@ -420,7 +430,7 @@ def close(
     """Close ``gamma`` (mapped onto class representatives) under ``rules``.
 
     Returns every derivable sentence of the universe, the seeds included.
-    An unknown rule name raises ``ValueError``.
+    An unknown rule name or reading raises ``ValueError``.
     """
-    rules, u = frozenset(map(Rule, rules)), cu.universe
+    (rules, reading), u = _rule_side(rules, reading), cu.universe
     return _sentences_of(_close_classes(rules, reading, _classes_of(gamma, u), cu), u)

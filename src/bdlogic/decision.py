@@ -73,6 +73,8 @@ __all__ = [
 ]
 
 CONSEQUENCE_UNIVERSE_LIMIT = 2
+# Records a set keeps, one per atom tuple (``universe-stability`` reads 3).
+_RECORDS_KEPT = 4
 
 
 @dataclass
@@ -130,10 +132,14 @@ def _class_record(bits: int, universe: AtomUniverse) -> _Compiled:
 
 def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
     """``gamma`` compiled over ``universe``: once per set and atom tuple,
-    kept on the set as :func:`plcore._classes_of` keeps its class masks."""
+    kept on the set as :func:`plcore._classes_of` keeps its class masks.
+    The set keeps the records of its last ``_RECORDS_KEPT`` atom tuples,
+    dropping the oldest, so a set queried over many universes stays small."""
     memo = gamma._records
     record = memo.get(universe.atoms)
     if record is None:
+        if len(memo) >= _RECORDS_KEPT:
+            del memo[next(iter(memo))]
         record = memo[universe.atoms] = _compile(gamma, universe)
     return record
 

@@ -20,12 +20,13 @@ sets.
 A set of a closure universe's sentences is one int, bit i standing for
 ``cu.sentences[i]`` (the beliefs by class, then the disbeliefs), and so is
 every consequence slice, read through ``_slice``; subsets, unions and
-projections are bit operations.  The decision kernel, the closure engine
-and ``plcore._classes_of`` take and give that int whole, and only
-``plcore._halves`` splits it into belief and disbelief classes.  An ``InformationSet`` is built only for
-a failure message and for the formula-level checks whose independence is
-their point: the enumeration oracle, countermodels, model counts,
-universe extension and the parsed canonical witnesses.
+projections are bit operations.  The decision kernel, the closure engine,
+the enumeration oracle's batched slices and ``plcore._classes_of`` take
+and give that int whole, and only ``plcore._halves`` splits it into belief
+and disbelief classes.  An ``InformationSet`` is built only for a failure
+message and for the formula-level checks whose independence is their
+point: the oracle's entailments and model counts, countermodels, universe
+extension and the parsed canonical witnesses.
 
 Reports are reproducible: the same ``(seed, scale)`` always runs the same
 checks and serializes to byte-identical canonical JSON (wall-clock timing
@@ -46,6 +47,7 @@ from .closure import (
     ClosureUniverse,
     Rule,
     _close_classes,
+    _rule_side,
     build_universe,
 )
 from .decision import (
@@ -54,7 +56,6 @@ from .decision import (
     _combined_witness,
     _report,
     _slice_masks,
-    consequences,
     decide,
     inconsistency_report,
 )
@@ -64,7 +65,7 @@ from .plcore import AtomUniverse, _classes_of, _halves, members
 from .semantics import (
     ModelBD,
     ModelWBD,
-    brute_force_consequences,
+    _model_space,
     brute_force_entails,
     construct_countermodel,
     count_models,
@@ -277,8 +278,9 @@ def _sampled_bits(cu: ClosureUniverse, max_size: int, rng: random.Random) -> int
     return sum(1 << i for i in rng.sample(range(len(cu.sentences)), k))
 
 
-# Bounded so that the 256 1-atom sets the oracle cases sweep in every suite,
-# each sorted by rendering its sentences, stay memoized from suite to suite.
+# Bounded so that the 1-atom sets the formula-level cases draw in every
+# suite, each sorted by rendering its sentences, stay memoized from suite
+# to suite.
 @functools.lru_cache(maxsize=1024)
 def _set_of(cu: ClosureUniverse, bits: int) -> InformationSet:
     """The sentences of ``cu`` that ``bits`` stands for, as a set."""
@@ -347,17 +349,22 @@ def _slice_is_stable(
     logics=("wbd", "gbd", "bd"),
 )
 def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
-    def disagrees(gamma: InformationSet, u: AtomUniverse) -> bool:
-        return consequences(logic, gamma, u) != brute_force_consequences(
-            logic, gamma, u
-        )
+    def disagrees(cu: ClosureUniverse, gamma: InformationSet) -> bool:
+        bits = _classes_of(gamma, cu.universe)
+        return _slice(logic, cu, bits) != spaces[cu].slices([bits])[0]
 
-    for cu, bits in ctx.one_then_two_atom_sets(120, 500):
-        u, gamma = cu.universe, _set_of(cu, bits)
+    drawn = list(ctx.one_then_two_atom_sets(120, 500))
+    spaces = {cu: _model_space(logic, cu.universe.atoms) for cu, _ in drawn}
+    # each universe's sets in one batch, read back in draw order
+    oracle = {
+        cu: iter(space.slices([bits for c, bits in drawn if c is cu]))
+        for cu, space in spaces.items()
+    }
+    for cu, bits in drawn:
         ctx.check(
-            not disagrees(gamma, u),
-            lambda: f"Γ={_fmt(_shrink(gamma, lambda g: disagrees(g, u)))} "
-            + ("at 1 atom", "at 2 atoms")[u.n - 1],
+            _slice(logic, cu, bits) == next(oracle[cu]),
+            lambda: f"Γ={_fmt(_shrink(_set_of(cu, bits), lambda g: disagrees(cu, g)))}"
+            + (" at 1 atom", " at 2 atoms")[cu.universe.n - 1],
             weight=len(cu.sentences),
         )
     return (
@@ -789,7 +796,8 @@ def readings_agree(
     A side is either a logic name (its decision procedure) or a
     ``(rules, reading)`` pair.  Empty result means they agreed everywhere.
     Each set's records come in ``cu.sentences`` order.  Unknown logic or
-    rule names raise ``ValueError`` before any set is read.
+    rule names and unknown readings raise ``ValueError`` before any set is
+    read.
     """
     a, b = _checked_side(a), _checked_side(b)
     records: list[Disagreement] = []
@@ -799,11 +807,12 @@ def readings_agree(
 
 
 def _checked_side(side: SideSpec) -> SideSpec:
-    """``side`` with its logic name checked, or its rule names as ``Rule``s."""
+    """``side`` with its logic name checked, or its rule names as ``Rule``s
+    and its reading checked."""
     if isinstance(side, str):
         _require_logic(side)
         return side
-    return frozenset(map(Rule, side[0])), side[1]
+    return _rule_side(*side)
 
 
 def _disagreements(

@@ -21,19 +21,21 @@ belief constrains only ``m`` and a disbelief only the sources, it reduces a
 set of sentences once per axis (a boolean vector over ``m`` and a
 bit-packed row over ``n`` or the families, one bit per source or family in
 ``uint64`` words) instead of testing every (m, sources) pair.  Each model
-space packs every class's row once, so a consequence slice tests all
-classes in a few array operations.  The space stays family-level: every
-nonempty family is one bit.  numpy is imported only when a model space is
-first built.
+space packs every class's row once, and ``_ModelSpace.slices`` answers the
+consequence slices of a whole batch of sets in a few array operations, in
+chunks whose largest temporary stays within ``_CHUNK_WORDS`` words; a set
+and its slice are each one int of class sentences, as ``plcore`` encodes
+them.  The space stays family-level: every nonempty family is one bit.
+numpy is imported only when a model space is first built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, or_
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .plcore import (
     AtomUniverse,
@@ -157,6 +159,9 @@ def holds_all(model: Model, gamma: InformationSet) -> bool:
 
 _FAMILY_LOGIC_LIMIT = 2  # wbd/bd: 2^(2^(2^n)) families beyond this
 _GBD_LIMIT = 3
+# One ``slices`` chunk's sets-by-classes-by-words temporary stays within
+# this many words (128 KiB): one set's at two atoms for wbd and bd.
+_CHUNK_WORDS = 1 << 14
 
 
 class _ModelSpace:
@@ -182,9 +187,13 @@ class _ModelSpace:
 
     Every class's packed disbelief row (``rows``), its complement
     (``complements``) and its belief column (``beliefs``, one row of a
-    classes-by-``m`` matrix) are built once per space, so a set is the AND
-    of its classes' entries and a whole consequence slice is a few array
-    operations.  Rows are unpacked only to decode a model.
+    classes-by-``m`` matrix, and ``outside``, its negation) are built once
+    per space, so a set is the AND of its classes' entries.  A set of class
+    sentences comes in as one int (bit c for ``B: c``, bit S + c for
+    ``D: c``, as ``plcore._class_sentences`` lists them): ``axes`` reads
+    one, and ``slices`` answers the consequence slices of many at once, a
+    chunk of sets per few array operations.  Rows are unpacked only to
+    decode a model.
     """
 
     def __init__(self, logic: LogicId, universe: AtomUniverse):
@@ -235,6 +244,8 @@ class _ModelSpace:
             self.inner[64 * start : 64 * start + size] = values[head : head + size]
             real[64 * start : 64 * start + size] = True
         self.valid = _pack(real)
+        # sets per ``slices`` chunk
+        self.chunk = max(1, _CHUNK_WORDS // (s * self.valid.shape[0]))
         if logic == "gbd":
             # the source refutes f: n within the complement of f
             self.rows = _pack((self.inner[None, :] & worlds[:, None]) == 0)
@@ -251,21 +262,70 @@ class _ModelSpace:
         self.complements &= self.valid
         full = np.uint16(universe.full_mask)
         self.beliefs = (worlds[None, :] & (full & ~worlds)[:, None]) == 0
+        self.outside = ~self.beliefs
+        # set bits per byte value, for ``count``
+        self.ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
 
-    def axes(self, gamma: InformationSet) -> tuple[np.ndarray, np.ndarray]:
-        """``gamma`` as (column over ``m``, packed row over ``inner``)."""
-        sb, sd = _halves(_classes_of(gamma, self.universe), self.universe)
+    def axes(self, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """The set of class sentences ``bits`` as (column over ``m``, packed
+        row over ``inner``)."""
+        sb, sd = _halves(bits, self.universe)
         column = self.beliefs[list(members(sb))].all(axis=0)
         row = self.valid
         for mask in members(sd):
             row = row & self.rows[mask]
         return column, row
 
-    def admitted(self, row: np.ndarray) -> np.ndarray:
-        """Over ``m``: does some ``inner`` value of ``row`` make a model with it."""
+    def admitted(self, rows: np.ndarray) -> np.ndarray:
+        """Over ``m``: does some ``inner`` value of a row make a model with it
+        (one row, or a stack of rows)."""
         import numpy as np
 
-        return self.fits[np.bitwise_or.reduceat(row, self.starts) != 0].any(axis=0)
+        return (np.bitwise_or.reduceat(rows, self.starts, axis=-1) != 0) @ self.fits
+
+    def slices(self, sets: Sequence[int]) -> list[int]:
+        """The entailed slice of each set of class sentences, in order; sets
+        and slices are ints, bit c for ``B: c`` and bit S + c for ``D: c``.
+
+        The sets go through in chunks whose sets-by-classes-by-words
+        temporary stays within ``_CHUNK_WORDS``.
+        """
+        out: list[int] = []
+        for at in range(0, len(sets), self.chunk):
+            out += self._chunk(sets[at : at + self.chunk])
+        return out
+
+    def _chunk(self, sets: Sequence[int]) -> list[int]:
+        import numpy as np
+
+        # each set's 2S sentence bits, in whole bytes
+        s, width = self.world_sets, -(-self.world_sets // 4)
+        octets = np.frombuffer(
+            b"".join(bits.to_bytes(width, "little") for bits in sets), dtype=np.uint8
+        )
+        chosen = np.unpackbits(octets, bitorder="little").reshape(len(sets), -1)
+        believes = chosen[:, :s].view(bool)
+        disbelieves = chosen[:, s : 2 * s].view(bool)
+        # per set, the m within every believed class
+        column = ~(believes @ self.outside)
+        # per set, the valid row ANDed with each disbelieved class's row
+        rows = np.repeat(self.valid[None], len(sets), axis=0)
+        for c in members(reduce(or_, sets) >> s):
+            np.bitwise_and(rows, self.rows[c], out=rows, where=disbelieves[:, c, None])
+        # ``B: c`` holds iff every m that makes a model lies within c
+        believed = ~((column & self.admitted(rows)) @ self.outside.T)
+        # ``D: c`` holds iff no group that fits a column m keeps a family once
+        # the families satisfying ``D: c`` are dropped
+        kept = np.bitwise_or.reduceat(
+            rows[:, None, :] & self.complements, self.starts, axis=2
+        ) != 0
+        fit = column @ self.fits.T
+        disbelieved = ~(kept @ fit[:, :, None])[:, :, 0]
+        # bit c for B: c, then bit S + c for D: c, as the class sentences lie
+        packed = np.packbits(
+            np.concatenate((believed, disbelieved), axis=1), axis=1, bitorder="little"
+        )
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def fitting(self, row: np.ndarray, m: int) -> np.ndarray:
         """The ``inner`` values of ``row`` that make a model with ``m``."""
@@ -296,8 +356,7 @@ class _ModelSpace:
         import numpy as np
 
         # families per group: a population count by byte lookup
-        ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
-        per_byte = ones[row.astype("<u8", copy=False).view(np.uint8)]
+        per_byte = self.ones[row.astype("<u8", copy=False).view(np.uint8)]
         per_group = np.add.reduceat(per_byte, self.starts * 8, dtype=np.int64)
         return int((per_group @ self.fits)[column].sum())
 
@@ -337,7 +396,7 @@ def brute_force_entails(
     """
     u = universe if universe is not None else universe_for(gamma, alpha)
     space = _model_space(logic, u.atoms)
-    column, row = space.axes(gamma)
+    column, row = space.axes(_classes_of(gamma, u))
     mask = models_of(alpha.body, u)
     if isinstance(alpha, Belief):
         column = column & ~space.beliefs[mask]
@@ -356,21 +415,10 @@ def brute_force_consequences(
 
     Same answers as calling ``brute_force_entails`` once per sentence of the
     universe, but ``gamma`` is reduced to its two axes a single time and
-    every class is tested at once.
+    every class is tested at once: a batch of one for ``_ModelSpace.slices``.
     """
-    import numpy as np
-
     space = _model_space(logic, universe.atoms)
-    column, row = space.axes(gamma)
-    # ``B: c`` holds iff every m that makes a model lies within c
-    believed = space.beliefs[:, column & space.admitted(row)].all(axis=1)
-    # ``D: c`` holds iff no group that fits a column m keeps a family once
-    # the families satisfying ``D: c`` are dropped
-    kept = np.bitwise_or.reduceat(row & space.complements, space.starts, axis=1) != 0
-    disbelieved = ~(kept & space.fits[:, column].any(axis=1)).any(axis=1)
-    # bit c for B: c, then bit S + c for D: c, as the class sentences lie
-    bits = np.packbits(np.concatenate((believed, disbelieved)), bitorder="little")
-    return _sentences_of(int.from_bytes(bits.tobytes(), "little"), universe)
+    return _sentences_of(space.slices([_classes_of(gamma, universe)])[0], universe)
 
 
 def enumerate_models(
@@ -378,12 +426,12 @@ def enumerate_models(
 ) -> Iterator[Model]:
     """All models of ``gamma`` over ``universe``, in enumeration order."""
     space = _model_space(logic, universe.atoms)
-    yield from space.models(*space.axes(gamma))
+    yield from space.models(*space.axes(_classes_of(gamma, universe)))
 
 
 def count_models(logic: LogicId, gamma: InformationSet, universe: AtomUniverse) -> int:
     space = _model_space(logic, universe.atoms)
-    return space.count(*space.axes(gamma))
+    return space.count(*space.axes(_classes_of(gamma, universe)))
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,8 @@ class TestAgainstDecisionProcedures:
             ("bd", "BD", "unknown logic 'BD'"),
             (({"b"}, "derivability"), "bd", "is not a valid Rule"),
             ("wbd", ({Rule.B, "bogus"}, "membership"), "is not a valid Rule"),
+            ((RULE_SETS["bd"], "syntactic"), "bd", "unknown reading 'syntactic'"),
+            ("bd", (RULE_SETS["bd"], "Membership"), "unknown reading 'Membership'"),
         ],
     )
     def test_readings_agree_refuses_unknown_names(self, cu1, a, b, message):

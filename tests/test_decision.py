@@ -354,6 +354,24 @@ class TestCompileOnce:
         decide("bd", gamma, query, AtomUniverse(("k", "m", "s", "z")))
         assert len(built) == 2
 
+    def test_a_set_keeps_records_for_its_last_four_atom_tuples(self):
+        text = "B: p\nD: !p"
+        g = parse_information_set(text)
+        forms = ("B: p | {x}", "D: !p & {x}", "B: {x}", "D: {x}")
+        asked = [
+            (LOGICS[i % 4], parse_sentence(forms[i // 4 % 4].format(x=f"x{i}")))
+            for i in range(200)
+        ]
+        first = [decide(logic, g, alpha) for logic, alpha in asked]
+        assert len(g._records) <= 4
+        # the same verdicts from a set that never held a record, and again
+        # from g once its early records are gone
+        assert first == [
+            decide(logic, parse_information_set(text), alpha) for logic, alpha in asked
+        ]
+        assert first == [decide(logic, g, alpha) for logic, alpha in asked]
+        assert len(g._records) <= 4
+
     def test_the_record_is_not_part_of_the_set(self):
         text = "B: k -> m\nD: m\nD: k & !m"
         compiled, fresh = parse_information_set(text), parse_information_set(text)

@@ -138,16 +138,9 @@ FAILURE_REPORT_SHA256 = (
 )
 
 
-def test_a_wrong_decision_procedure_is_reported(monkeypatch):
-    """Drive cases down their failure path with a broken consequence slice.
-
-    Every case reads its slices through ``_slice``, so the mutant patches
-    that one function: it drops the first sentence (by rendering) from
-    every gbd, bd and bn slice.  Each case must fail with at most three
-    counterexamples while running exactly the checks, and writing exactly
-    the summary, of the unpatched run.
-    """
-    good = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+def _break_slices(monkeypatch):
+    """Patch ``metatheory._slice`` to drop the first sentence (by rendering)
+    from every gbd, bd and bn slice."""
     real = metatheory._slice
 
     def mutant(logic, cu, bits):
@@ -158,15 +151,52 @@ def test_a_wrong_decision_procedure_is_reported(monkeypatch):
         return cons & ~(1 << first)
 
     monkeypatch.setattr(metatheory, "_slice", mutant)
-    bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+
+
+def _assert_caught(good, bad):
+    """Each case fails with at most three counterexamples while running
+    exactly the checks, and writing exactly the summary, of the good run."""
     assert not bad.all_passed
     for ok, broken in zip(good.results, bad.results):
         assert ok.passed and not broken.passed, broken.case_id
         assert 1 <= len(broken.counterexamples) <= 3, broken.case_id
         assert broken.cases_run == ok.cases_run, broken.case_id
         assert broken.summary == ok.summary, broken.case_id
+
+
+def test_a_wrong_decision_procedure_is_reported(monkeypatch):
+    """Drive cases down their failure path with a broken consequence slice.
+
+    Every case reads its slices through ``_slice``, the oracle-agreement
+    cases too, so the mutant patches that one function.
+    """
+    good = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+    _break_slices(monkeypatch)
+    bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
+    _assert_caught(good, bad)
     digest = hashlib.sha256(bad.to_json().encode()).hexdigest()
     assert digest == FAILURE_REPORT_SHA256
+
+
+def test_oracle_agreement_compares_the_slice_with_the_oracle(monkeypatch):
+    """The case and its shrink predicate read the same two bit-level answers:
+    a bd slice always holds ``B: true``, so under the mutant every set
+    disagrees with the oracle and shrinks to the empty set."""
+    good = run_suite(seed=0, scale="quick", case_ids=["oracle-agreement-bd"])
+    _break_slices(monkeypatch)
+    bad = run_suite(seed=0, scale="quick", case_ids=["oracle-agreement-bd"])
+    _assert_caught(good, bad)
+    assert set(bad.results[0].counterexamples) == {"Γ={} at 1 atom"}
+
+
+def test_passing_oracle_agreement_builds_no_set(monkeypatch):
+    def refuse(cu, bits):
+        raise AssertionError("a set was built")
+
+    monkeypatch.setattr(metatheory, "_set_of", refuse)
+    cases = [f"oracle-agreement-{logic}" for logic in ("wbd", "gbd", "bd")]
+    report = run_suite(seed=0, scale="quick", case_ids=cases)
+    assert report.all_passed and len(report.results) == 3
 
 
 def _formula_bprime_sweep(ctx):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from bdlogic import (
     satisfies,
 )
 
+from bdlogic import semantics
+from bdlogic.plcore import _class_sentences, _classes_of, members
 from bdlogic.semantics import _model_space
 from conftest import information_sets, sentences
 
@@ -473,6 +476,52 @@ class TestPackedLayout:
                 if first is None:
                     entailed.add(alpha)
             assert brute_force_consequences(logic, gamma, universe) == entailed, name
+
+
+def random_class_sets(universe, count, seed):
+    """``count`` random sets of up to four class sentences, as ints."""
+    rng = random.Random(seed)
+    sentences = range(2 * (universe.full_mask + 1))
+    return [
+        sum(1 << i for i in rng.sample(sentences, rng.randint(0, 4)))
+        for _ in range(count)
+    ]
+
+
+class TestBatchedSlices:
+    """``_ModelSpace.slices`` answers a batch of sets as it answers each alone."""
+
+    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    def test_a_batch_answers_as_its_sets_one_at_a_time(self, logic, universe):
+        space = _model_space(logic, universe.atoms)
+        step = space.chunk
+        # as many sets as the word budget holds, and at least one
+        words = space.world_sets * space.valid.shape[0]
+        assert step == 1 or step * words <= semantics._CHUNK_WORDS
+        assert (step + 1) * words > semantics._CHUNK_WORDS
+        sets = random_class_sets(universe, 3 * step + 2, seed=universe.n)
+        alone = {bits: space.slices([bits])[0] for bits in set(sets)}
+        # empty, one set, one chunk, one chunk and one more, several chunks
+        for length in (0, 1, step, step + 1, 3 * step + 2):
+            batch = sets[:length]
+            got = space.slices(batch)
+            assert got == [alone[bits] for bits in batch], length
+            assert space.slices(batch[::-1]) == got[::-1], length
+
+    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    def test_each_bit_is_the_entailment_oracle_and_the_full_grid(self, logic, universe):
+        space = _model_space(logic, universe.atoms)
+        table = _class_sentences(universe.atoms)
+        reference = ReferenceGrid(logic, universe)
+        sets = [_classes_of(g, universe) for g in edge_sets(universe).values()]
+        sets += random_class_sets(universe, 4, seed=10 + universe.n)
+        for bits, got in zip(sets, space.slices(sets)):
+            gamma = InformationSet(frozenset(table[i] for i in members(bits)))
+            grid = reference.models(gamma)
+            for i, alpha in enumerate(table):
+                entailed = brute_force_entails(logic, gamma, alpha, universe).entailed
+                assert entailed == (not (grid & ~reference.sat(alpha)).any())
+                assert bool(got >> i & 1) == entailed, (bits, alpha)
 
 
 class TestCountermodelConstruction:
