@@ -24,7 +24,6 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from .closure import RULE_SETS, ClosureUniverse, close
 from .decision import (
     CONSEQUENCE_UNIVERSE_LIMIT,
     consequences,
@@ -33,9 +32,7 @@ from .decision import (
 )
 from .fixtures import FIXTURES, evaluate
 from .jsontext import dumps
-from .metatheory import run_suite
-from .plcore import AtomUniverse, universe_for
-from .semantics import model_to_dict, render_model
+from .plcore import AtomUniverse, _class_sentences, universe_for
 from .syntax import (
     DocumentParseError,
     InformationSet,
@@ -121,9 +118,9 @@ def _universe_for_gamma(
     return AtomUniverse(names)
 
 
-def _in_order(cu: ClosureUniverse, chosen: frozenset) -> list:
-    """``chosen`` in ``cu.sentences`` order: beliefs, then disbeliefs, by class."""
-    return [s for s in cu.sentences if s in chosen]
+def _in_order(universe: AtomUniverse, chosen: frozenset) -> list:
+    """``chosen`` in class-sentence order: beliefs, then disbeliefs, by class."""
+    return [s for s in _class_sentences(universe.atoms) if s in chosen]
 
 
 def _input_block(gamma: InformationSet, source: str) -> dict:
@@ -150,6 +147,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         decide(lg, gamma, query, universe, with_countermodel=args.countermodel)
         for lg in logics
     ]
+    if any(v.witness is not None for v in verdicts):
+        from .semantics import model_to_dict, render_model
     if args.json:
         payload: dict = {
             "schema": _SCHEMA,
@@ -239,7 +238,7 @@ def _cmd_consequences(args: argparse.Namespace) -> int:
     gamma, source = _load_gamma(args.file)
     universe = _universe_for_gamma(gamma, args.atoms, CONSEQUENCE_UNIVERSE_LIMIT)
     target = consequences(args.logic, gamma, universe)
-    entailed = _in_order(ClosureUniverse(universe), target)
+    entailed = _in_order(universe, target)
     if args.json:
         _emit(
             {
@@ -264,15 +263,16 @@ def _cmd_consequences(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
+    from .closure import RULE_SETS, ClosureUniverse, close
+
     gamma, source = _load_gamma(args.file)
     universe = _universe_for_gamma(gamma, args.atoms, 2)
-    cu = ClosureUniverse(universe)
     rules = RULE_SETS[args.logic]
-    closed = close(rules, args.reading, gamma, cu)
+    closed = close(rules, args.reading, gamma, ClosureUniverse(universe))
     target = consequences(args.logic, gamma, universe)
-    derived = _in_order(cu, closed)
-    missing = _in_order(cu, target - closed)
-    extra = _in_order(cu, closed - target)
+    derived = _in_order(universe, closed)
+    missing = _in_order(universe, target - closed)
+    extra = _in_order(universe, closed - target)
     rule_names = sorted(r.value for r in rules)
     if args.json:
         _emit(
@@ -317,6 +317,8 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 
 def _cmd_meta(args: argparse.Namespace) -> int:
+    from .metatheory import run_suite
+
     report = run_suite(seed=args.seed, scale=args.scale)
     if args.json:
         _emit(report.canonical_dict())

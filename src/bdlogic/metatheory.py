@@ -384,12 +384,10 @@ def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
     logics=LOGICS,
 )
 def _tarskian(ctx: _Ctx, logic: LogicId) -> str:
-    rule = _RULES[logic]
     for cu, bits in ctx.sampled_sets(60, 250):
         cons = _slice(logic, cu, bits)
-        record, n = _class_record(bits, cu.universe), len(cu.classes)
         ctx.check(
-            all(rule(record, i < n, i % n) is not None for i in members(bits)),
+            bits & ~cons == 0,
             lambda: f"inclusion fails: Γ={_fmt(_set_of(cu, bits))}",
         )
         delta = _sampled_bits(cu, 2, ctx.rng)

@@ -169,9 +169,21 @@ class TestCheck:
 
 
 def test_commands_without_the_oracle_never_load_numpy(murder_file, agnostic_file):
+    # the package loads a module on first use, and check (no countermodel)
+    # and consistency load neither the oracle, the closure engine nor the suite
     script = f"""
 import contextlib, io, json, sys
+import bdlogic
+bare = sorted(m for m in sys.modules if m.startswith("bdlogic."))
 from bdlogic.cli import main
+light = [
+    ["check", {murder_file!r}, "--query", "D: k", "--json"],
+    ["consistency", {murder_file!r}, "--json"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in light]
+checkers = ("bdlogic.closure", "bdlogic.semantics", "bdlogic.metatheory")
+loaded = [m for m in checkers if m in sys.modules]
 runs = [
     ["check", {murder_file!r}, "--query", "D: k", "--countermodel", "--json"],
     ["consistency", {murder_file!r}, "--json"],
@@ -180,8 +192,9 @@ runs = [
     ["examples", "murder", "--json"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in runs]
-print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
+    codes += [main(argv) for argv in runs]
+print(json.dumps({{"bare": bare, "loaded": loaded, "codes": codes,
+                  "numpy": "numpy" in sys.modules}}))
 """
     import bdlogic
 
@@ -194,7 +207,9 @@ print(json.dumps({{"codes": codes, "numpy": "numpy" in sys.modules}}))
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {"codes": [1, 0, 0, 0, 0], "numpy": False}
+    assert json.loads(result.stdout) == {
+        "bare": [], "loaded": [], "codes": [1, 0, 1, 0, 0, 0, 0], "numpy": False
+    }
 
 
 @pytest.mark.parametrize(

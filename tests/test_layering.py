@@ -23,7 +23,7 @@ def bdlogic_imports(module: str) -> list[tuple[str, tuple[str, ...], bool]]:
     """(bdlogic module, imported names, inside a function?) per import.
 
     ``from bdlogic import ...`` and ``import bdlogic`` name the package
-    itself, ``"bdlogic"``, which loads every module.
+    itself, ``"bdlogic"``, through which every module can be reached.
     """
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
     found = []
@@ -76,6 +76,17 @@ def test_the_decision_procedures_import_no_checker():
 def test_the_closure_engine_imports_no_procedure_it_checks():
     imported = {module for module, _, _ in bdlogic_imports("closure")}
     assert not imported & {"bdlogic", "decision", "semantics", "metatheory", "cli"}
+
+
+def test_the_package_imports_no_module_until_a_name_is_read():
+    assert [i for i in bdlogic_imports("__init__") if not i[2]] == []
+
+
+def test_the_cli_imports_each_checker_only_in_the_command_that_runs_it():
+    checkers = {"closure", "semantics", "metatheory"}
+    imports = bdlogic_imports("cli")
+    assert not checkers & {module for module, _, lazy in imports if not lazy}
+    assert checkers <= {module for module, _, lazy in imports if lazy}
 
 
 def test_no_module_rebinds_its_globals():

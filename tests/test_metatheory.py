@@ -131,10 +131,12 @@ class TestGenerateInformationSet:
 
 # Cheap cases that a consequence operation missing one sentence breaks.
 FAILURE_PATH_CASES = ["collapse-bn", "strength-ordering", "tarskian-bd"]
-# SHA-256 of their failing report, recorded before the cases shared one
-# tally: which counterexamples are kept, and their order, are output too.
+# SHA-256 of their failing report: which counterexamples are kept, and
+# their order, are output too.  Re-recorded when ``tarskian-*`` began to
+# read inclusion off the slice, so that a slice missing a member of Γ now
+# fails inclusion as well as idempotency.
 FAILURE_REPORT_SHA256 = (
-    "d98fb454d3d57da6e0335f16e212f68d46818721351d9c8c6ade661b049b8be1"
+    "19c24b0afcbfd8b6fbdc85639d2c0cfc5b79d233f50bcd860a77d5d44ad87bbd"
 )
 
 
@@ -174,6 +176,8 @@ def test_a_wrong_decision_procedure_is_reported(monkeypatch):
     _break_slices(monkeypatch)
     bad = run_suite(seed=0, scale="quick", case_ids=FAILURE_PATH_CASES)
     _assert_caught(good, bad)
+    tarskian = bad.results[FAILURE_PATH_CASES.index("tarskian-bd")]
+    assert tarskian.counterexamples[0].startswith("inclusion fails")
     digest = hashlib.sha256(bad.to_json().encode()).hexdigest()
     assert digest == FAILURE_REPORT_SHA256
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+# the tracer hooks the layers already loaded, and the package loads lazily
+from bdlogic import closure, decision, metatheory, plcore, semantics, syntax  # noqa: F401
 from bdlogic.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
