@@ -38,11 +38,11 @@ from typing import Callable, Optional
 
 from .plcore import (
     AtomUniverse,
+    _class_sentences,
     _classes_of,
     _halves,
     _sentences_of,
     conjunction_mask,
-    formula_for_class,
     members,
     models_of,
     universe_for,
@@ -114,19 +114,20 @@ def _compile(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
 
 def _class_record(bits: int, universe: AtomUniverse) -> _Compiled:
     """The record of the set of class sentences ``bits`` stands for, each
-    class's body its representative :func:`formula_for_class`.
+    class's body taken from its shared sentence in :func:`plcore._class_sentences`.
 
     For a set of class representatives it equals the record compiled from
     the set's formulas, but no formula is evaluated or rendered: the masks
     are the classes themselves, in ascending order.
     """
     full, (sb, sd) = universe.full_mask, _halves(bits, universe)
+    table = _class_sentences(universe.atoms)
     return _Compiled(
         universe,
         reduce(and_, members(sb), full),
-        [(c, formula_for_class(c, universe)) for c in members(sd)],
+        [(c, table[c].body) for c in members(sd)],
         full & ~reduce(or_, members(sd), 0),
-        tuple(formula_for_class(c, universe) for c in members(sb)),
+        tuple(table[c].body for c in members(sb)),
     )
 
 
@@ -387,6 +388,6 @@ def consequences(
 
     The classes come from :func:`consequence_masks`, the sentences from the
     universe's shared class sentences, whose bodies are the representatives
-    of :func:`formula_for_class`.
+    of :func:`plcore.formula_for_class`.
     """
     return _sentences_of(consequence_masks(logic, gamma, universe), universe)

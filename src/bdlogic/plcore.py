@@ -234,9 +234,14 @@ def _minterm(index: int, universe: AtomUniverse) -> Formula:
     return term
 
 
-@lru_cache(maxsize=4096)
-def _formula_for_class(mask: int, atoms: tuple[str, ...]) -> Formula:
-    universe = AtomUniverse(atoms)
+def formula_for_class(mask: WorldSet, universe: AtomUniverse) -> Formula:
+    """A deterministic representative formula for a semantic class.
+
+    ``false``/``true``/literals where possible, otherwise a disjunction of
+    minterms in ascending valuation order.
+    """
+    if mask < 0 or mask > universe.full_mask:
+        raise ValueError(f"mask {mask:#x} outside universe of {universe.n} atoms")
     if mask == 0:
         return Bottom()
     if mask == universe.full_mask:
@@ -253,17 +258,6 @@ def _formula_for_class(mask: int, atoms: tuple[str, ...]) -> Formula:
     for term in terms[1:]:
         node = Or(node, term)
     return node
-
-
-def formula_for_class(mask: WorldSet, universe: AtomUniverse) -> Formula:
-    """A deterministic representative formula for a semantic class.
-
-    ``false``/``true``/literals where possible, otherwise a disjunction of
-    minterms in ascending valuation order.
-    """
-    if mask < 0 or mask > universe.full_mask:
-        raise ValueError(f"mask {mask:#x} outside universe of {universe.n} atoms")
-    return _formula_for_class(mask, universe.atoms)
 
 
 @lru_cache(maxsize=64)

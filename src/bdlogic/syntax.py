@@ -321,15 +321,6 @@ class ParseError(ValueError):
         self.expected = expected
         super().__init__(f"{message} at line {line}, column {column}")
 
-    def shifted(self, line_offset: int) -> "ParseError":
-        err = ParseError(
-            str(self).rsplit(" at line ", 1)[0],
-            self.line + line_offset,
-            self.column,
-            self.expected,
-        )
-        return err
-
 
 class DocumentParseError(ValueError):
     """One or more sentence lines of a document failed to parse."""
@@ -348,10 +339,13 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, start: int, line: int) -> list[_Token]:
+    """The tokens of ``text[start:]``, each positioned in the whole of
+    ``text``, whose first line is line ``line``."""
     tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
+    line += text.count("\n", 0, start)
+    line_start = text.rfind("\n", 0, start) + 1
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup or "BAD"
         col = m.start() - line_start + 1
         if kind == "NEWLINE":
@@ -381,9 +375,11 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> _Token:
+        """The next token, which must be ``kind``.  Only ever called after
+        a complete operand, where a connective could come as well."""
         tok = self.peek()
         if tok.kind != kind:
-            self._fail({kind}, tok)
+            self._fail({kind, *_BY_TOKEN}, tok)
         return self.advance()
 
     def _fail(self, expected: set[str], tok: _Token) -> None:
@@ -432,32 +428,31 @@ class _Parser:
         raise AssertionError("unreachable")
 
 
+def _formula(text: str, start: int = 0, line: int = 1) -> Formula:
+    """The formula ``text[start:]``, its errors positioned in ``text``."""
+    parser = _Parser(_tokenize(text, start, line))
+    node = parser.formula()
+    parser.expect("EOF")
+    return node
+
+
 def parse_formula(text: str) -> Formula:
     """Parse a single formula; raises :class:`ParseError` on bad input."""
-    parser = _Parser(_tokenize(text))
-    node = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(
-            f"unexpected trailing input {tok.text!r}",
-            tok.line,
-            tok.column,
-            frozenset({_TOKEN_LABEL["EOF"]}),
-        )
-    return node
+    return _formula(text)
 
 
 _SENTENCE_PREFIX_RE = re.compile(r"^\s*([BD])\s*:\s*(.*)\Z", re.DOTALL)
 
 
+def _sentence(text: str, line: int = 1) -> Sentence:
+    m = _SENTENCE_PREFIX_RE.match(text)
+    body = _formula(text, m.start(2) if m else 0, line)
+    return Disbelief(body) if m and m.group(1) == "D" else Belief(body)
+
+
 def parse_sentence(text: str) -> Sentence:
     """Parse ``B: f``, ``D: f``, or a bare formula (read as a belief)."""
-    m = _SENTENCE_PREFIX_RE.match(text)
-    if m:
-        kind, rest = m.group(1), m.group(2)
-        body = parse_formula(rest)
-        return Belief(body) if kind == "B" else Disbelief(body)
-    return Belief(parse_formula(text))
+    return _sentence(text)
 
 
 def parse_information_set(document: str) -> InformationSet:
@@ -473,9 +468,9 @@ def parse_information_set(document: str) -> InformationSet:
         if not line.strip():
             continue
         try:
-            sentences.add(parse_sentence(line))
+            sentences.add(_sentence(line, lineno))
         except ParseError as err:
-            errors.append(err.shifted(lineno - 1))
+            errors.append(err)
     if errors:
         raise DocumentParseError(errors)
     return InformationSet(frozenset(sentences))

@@ -155,6 +155,11 @@ class TestCheck:
         assert code == 2
         assert err
 
+    def test_malformed_query_names_the_column_of_its_token(self, capsys, murder_file):
+        code, _, err = run(capsys, "check", murder_file, "--query", "D: p q")
+        assert code == 2
+        assert "column 6" in err
+
     def test_malformed_document_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.bdl"
         bad.write_text("B: p &\nD: q\n")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bdlogic import (
     And,
@@ -365,4 +366,73 @@ def _corpus():
 
 def test_parser_corpus_is_unchanged():
     digest = hashlib.sha256("\n".join(_corpus()).encode("utf-8")).hexdigest()
-    assert digest == "848213114fee127e51eb9b6d9f120508a6cc6892e9006bea2f77b4908b8abe9d"
+    assert digest == "0f23d5276a097e7e98e2b1f2c1f3a9da7ecb5f60f8987fb6c160f5f8644e1a8a"
+
+
+# --------------------------------------------------------------------------
+# Each error is positioned at its token and names every token that fits there
+
+_CONNECTIVE_LABELS = {"'&'", "'|'", "'->'", "'<->'"}
+_OPERAND_LABELS = {"'!'", "'('", "atom"}
+
+
+def test_document_errors_name_the_column_within_their_line():
+    with pytest.raises(DocumentParseError) as err:
+        parse_information_set("B: p\nD:   p q\n  B: (r\n")
+    assert [(e.line, e.column) for e in err.value.errors] == [(2, 8), (3, 8)]
+
+
+def test_sentence_errors_count_the_prefix():
+    with pytest.raises(ParseError) as err:
+        parse_sentence("D: p q")
+    assert err.value.column == 6
+
+
+def test_a_prefix_spanning_lines_is_counted_in_lines():
+    with pytest.raises(ParseError) as err:
+        parse_sentence("\nB:\n  p q")
+    assert (err.value.line, err.value.column) == (3, 5)
+
+
+# one-line texts of the tokenizer's characters, its blanks and near-misses
+_ONE_LINE = st.text(alphabet="pqr!&|-<>() \t\r%#BD:e", max_size=16)
+
+
+@given(st.sampled_from(["B: ", "  D :  ", "D:", "B:\t", " B :"]), _ONE_LINE)
+def test_a_prefix_moves_an_error_by_its_length_only(prefix, text):
+    try:
+        parse_formula(text)
+    except ParseError as err:
+        want = err
+    else:
+        parse_sentence(prefix + text)
+        return
+    with pytest.raises(ParseError) as got:
+        parse_sentence(prefix + text)
+    message = str(got.value).rsplit(" at line", 1)[0]
+    assert message == str(want).rsplit(" at line", 1)[0]
+    assert got.value.expected == want.expected
+    assert got.value.line == want.line == 1
+    assert got.value.column == want.column + len(prefix)
+
+
+def test_after_an_operand_any_connective_or_the_end_is_expected():
+    with pytest.raises(ParseError) as err:
+        parse_formula("p q")
+    assert err.value.expected == _CONNECTIVE_LABELS | {"end of input"}
+    assert str(err.value).startswith(
+        "expected '&' or '->' or '<->' or '|' or end of input, found 'q'"
+    )
+
+
+def test_inside_parentheses_any_connective_or_the_close_is_expected():
+    with pytest.raises(ParseError) as err:
+        parse_formula("(p q")
+    assert err.value.expected == _CONNECTIVE_LABELS | {"')'"}
+
+
+@pytest.mark.parametrize("text", ["p &", ""])
+def test_a_missing_operand_expects_an_operand(text):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert err.value.expected == _OPERAND_LABELS
