@@ -15,11 +15,13 @@ logic     belief ``B: f``          disbelief ``D: f``
 ``bn``    ``G_B, ~G_D |= f``       ``G_B, ~G_D |= !f``
 ========  =======================  ==========================================
 
-Each logic is one rule over one record of a set's masks: the models of
-``G_B`` and of ``~G_D`` and of each disbelieved formula.  The record is built
-whole, from the set's formulas (once per set and atom tuple, kept on the
-set) or from its class sentences.  A rule answers with the name of the
-disjunct that fired; only :func:`decide` turns it into a ``Rationale``.
+Each logic is one shape over one record of a set's masks (the models of
+``G_B``, of ``~G_D`` and of each disbelieved formula), built whole from the
+set's formulas (once per set and atom tuple, kept on the set) or from its
+class sentences.  A shape is a floor and a few generators, each a class
+with the disjunct it stands for: a belief is entailed iff its class
+contains the floor, a disbelief iff its class lies inside a generator.  A
+query reads the shape part by part, a consequence slice reads it whole.
 A set of class sentences over a universe of one or two atoms is one int,
 bit i standing for ``plcore._class_sentences(atoms)[i]`` (``B: c`` at bit
 c, ``D: c`` at bit 2^(2^n) + c); it goes in and a consequence slice comes
@@ -32,9 +34,9 @@ own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, itemgetter, or_
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .plcore import (
     AtomUniverse,
@@ -79,7 +81,7 @@ _RECORDS_KEPT = 4
 
 @dataclass
 class _Compiled:
-    """A set over one universe, as the masks the rules read.
+    """A set over one universe, as the masks its shapes are made of.
 
     :func:`_compile` builds it from the set's formulas and
     :func:`_class_record` from class sentences; both set every field at once.
@@ -145,11 +147,6 @@ def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
     return record
 
 
-# A rule maps (compiled gamma, is the query a belief, query mask) to None or
-# to the entailing disjunct's name and the disbelieved body it used (WD and
-# D; None otherwise).  Only _decide turns the name into a Rationale.
-_Fired = Optional[tuple[str, Optional[Formula]]]
-
 _DESCRIPTIONS = {
     "B": "classical consequence of the beliefs",
     "DBot": "the queried formula is unsatisfiable",
@@ -161,47 +158,47 @@ _DESCRIPTIONS = {
 }
 
 
-def _rule_wbd(c: _Compiled, belief: bool, mask: int) -> _Fired:
+def _shape(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str, Formula | None]]:
+    """``logic``'s shape over ``c``, as parts ``(class, rule, body)``: the
+    floor, then the generators in firing order, so the first that holds a
+    query names its rule and the disbelieved body it used (WD and D).
+    The parts are made lazily: a query computes only those it reads."""
+    full, b = c.universe.full_mask, c.beliefs
+    if logic == "wbd":
+        yield b, "B", None
+        yield 0, "DBot", None
+        for witness, body in c.witnesses:
+            yield witness, "WD", body
+    elif logic == "gbd":
+        yield b, "B", None
+        yield full & ~c.dual, "GD", None
+    elif logic == "bd":
+        yield b, "B", None
+        yield 0, "DBot", None
+        outside = full & ~b
+        yield outside, "BtoD", None
+        for witness, body in c.witnesses:
+            yield outside | witness, "D", body
+    else:
+        floor = b & c.dual
+        yield floor, "BN", None
+        yield full & ~floor, "BN", None
+
+
+def _fired(
+    logic: LogicId, c: _Compiled, belief: bool, mask: int
+) -> tuple[str, Formula | None] | None:
+    """The rule and body of the first part of ``logic``'s shape that entails
+    the query of class ``mask``, or None; :func:`_decide` makes the rationale."""
+    parts = _shape(logic, c)
+    floor, rule, body = next(parts)
+    # containment as one operation: no complement of a 2^n-bit mask
     if belief:
-        return ("B", None) if c.beliefs & ~mask == 0 else None
-    if mask == 0:
-        return ("DBot", None)
-    for witness, body in c.witnesses:
-        if mask & ~witness == 0:
-            return ("WD", body)
+        return (rule, body) if mask & floor == floor else None
+    for generator, rule, body in parts:
+        if mask | generator == generator:
+            return rule, body
     return None
-
-
-def _rule_gbd(c: _Compiled, belief: bool, mask: int) -> _Fired:
-    if belief:
-        return ("B", None) if c.beliefs & ~mask == 0 else None
-    return ("GD", None) if c.dual & mask == 0 else None
-
-
-def _rule_bd(c: _Compiled, belief: bool, mask: int) -> _Fired:
-    if belief:
-        return ("B", None) if c.beliefs & ~mask == 0 else None
-    if mask == 0:
-        return ("DBot", None)
-    if c.beliefs & mask == 0:
-        return ("BtoD", None)
-    for witness, body in c.witnesses:
-        if c.beliefs & mask & ~witness == 0:
-            return ("D", body)
-    return None
-
-
-def _rule_bn(c: _Compiled, belief: bool, mask: int) -> _Fired:
-    pool = c.beliefs & c.dual
-    return ("BN", None) if pool & (~mask if belief else mask) == 0 else None
-
-
-_RULES: dict[LogicId, Callable[[_Compiled, bool, int], _Fired]] = {
-    "wbd": _rule_wbd,
-    "gbd": _rule_gbd,
-    "bd": _rule_bd,
-    "bn": _rule_bn,
-}
 
 
 def _decide(
@@ -212,7 +209,7 @@ def _decide(
 ) -> Verdict:
     u = universe if universe is not None else universe_for(gamma, alpha)
     belief = isinstance(alpha, Belief)
-    fired = _RULES[logic](_compiled(gamma, u), belief, models_of(alpha.body, u))
+    fired = _fired(logic, _compiled(gamma, u), belief, models_of(alpha.body, u))
     rationale = None if fired is None else Rationale(*fired, _DESCRIPTIONS[fired[0]])
     return Verdict(logic, alpha, entailed=fired is not None, rationale=rationale)
 
@@ -328,20 +325,18 @@ def inconsistency_report(
     return _report(logic, _compiled(gamma, u))
 
 
-def _report(logic: LogicId, compiled: _Compiled) -> InconsistencyReport:
+def _report(logic: LogicId, c: _Compiled) -> InconsistencyReport:
     """The inconsistency notions of one compiled set under ``logic``."""
-    rule, full = _RULES[logic], compiled.universe.full_mask
-    # D: true, whose mask is the full one
-    d_inconsistent = rule(compiled, False, full) is not None
+    full = c.universe.full_mask
     # the disbelief projection: no beliefs, gamma's witnesses and dual
-    projection = replace(compiled, beliefs=full, belief_bodies=())
-    d_literal = rule(projection, False, full) is not None
-    witness = _combined_witness(logic, compiled)
+    projection = _Compiled(c.universe, full, c.witnesses, c.dual, ())
+    witness = _combined_witness(logic, c)
     return InconsistencyReport(
         logic=logic,
-        b_inconsistent=compiled.beliefs == 0,
-        d_inconsistent=d_inconsistent,
-        d_inconsistent_literal=d_literal,
+        b_inconsistent=c.beliefs == 0,
+        # D: true, whose mask is the full one
+        d_inconsistent=_fired(logic, c, False, full) is not None,
+        d_inconsistent_literal=_fired(logic, projection, False, full) is not None,
         combined_inconsistent=witness is not None,
         witness_formula=witness,
     )
@@ -351,12 +346,26 @@ def _report(logic: LogicId, compiled: _Compiled) -> InconsistencyReport:
 # Finite consequence slices
 
 
+@lru_cache(maxsize=8)
+def _lanes(world_count: int) -> tuple[int, ...]:
+    """Lane i: the classes that hold world i (atom masks, one atom per world)."""
+    lanes = AtomUniverse(map(str, range(world_count)))
+    return tuple(map(lanes.atom_mask, lanes.atoms))
+
+
 def _slice_masks(logic: LogicId, compiled: _Compiled) -> int:
-    """The entailed class sentences of one compiled set, as bits."""
-    rule, masks = _RULES[logic], range(compiled.universe.full_mask + 1)
-    beliefs = sum(1 << m for m in masks if rule(compiled, True, m) is not None)
-    disbeliefs = sum(1 << m for m in masks if rule(compiled, False, m) is not None)
-    return beliefs | disbeliefs << len(masks)
+    """The entailed class sentences of one compiled set, as bits: the
+    up-closure of the floor and the down-closure of the generators, each a
+    subset-sum ("zeta") transform over the classes, one shift per world
+    (Yates 1937; Björklund, Husfeldt, Kaski & Koivisto, STOC 2007)."""
+    parts = _shape(logic, compiled)
+    above, below = 1 << next(parts)[0], 0
+    for generator, _, _ in parts:
+        below |= 1 << generator
+    for i, lane in enumerate(_lanes(compiled.universe.world_count)):
+        above |= above << (1 << i) & lane
+        below |= below >> (1 << i) & ~lane
+    return above | below << compiled.universe.full_mask + 1
 
 
 def consequence_masks(
@@ -366,9 +375,9 @@ def consequence_masks(
     class sentences (``B: c`` at bit c, ``D: c`` at bit 2^(2^n) + c).
 
     The slice has one belief and one disbelief per class, so it is finite:
-    2 * 2^(2^n) sentences scanned.  Guarded to n <= 2.  Which sentences are
-    entailed depends only on the classes of ``gamma``'s bodies, so those
-    are read off once and each class mask is tested directly.
+    2 * 2^(2^n) sentences.  Guarded to n <= 2.  It depends only on the
+    classes of ``gamma``'s bodies, so those are read off once, and the
+    logic's shape is closed over every class at once.
     """
     _require_logic(logic)
     # checked before the classes are read: at 5 atoms, 1 << mask can be a

@@ -20,10 +20,12 @@ sets.
 A set of a closure universe's sentences is one int, bit i standing for
 ``cu.sentences[i]`` (the beliefs by class, then the disbeliefs), and so is
 every consequence slice, read through ``_slice``; subsets, unions and
-projections are bit operations.  The decision kernel, the closure engine,
-the enumeration oracle's batched slices and ``plcore._classes_of`` take
-and give that int whole, and only ``plcore._halves`` splits it into belief
-and disbelief classes.  An ``InformationSet`` is built only for a failure
+projections are bit operations.  The closure engine, the enumeration
+oracle's batched slices and ``plcore._classes_of`` take and give that int
+whole, and only ``plcore._halves`` splits it into belief and disbelief
+classes.  Of ``decision``'s private names it reads a set's record
+(``_class_record``), its slice (``_slice_masks``) and its inconsistency
+notions (``_report``).  An ``InformationSet`` is built only for a failure
 message and for the formula-level checks whose independence is their
 point: the oracle's entailments and model counts, countermodels, universe
 extension and the parsed canonical witnesses.
@@ -51,9 +53,7 @@ from .closure import (
     build_universe,
 )
 from .decision import (
-    _RULES,
     _class_record,
-    _combined_witness,
     _report,
     _slice_masks,
     decide,
@@ -534,10 +534,9 @@ def _bprime_sweep(
     Returns each violation (Γ as sentence bits, f, g), the number of
     combined-consistent sets and the number of violations on them.  Counts
     one check per premise triple (f, g) with g believed.  Every verdict is
-    the bd rule's, on records built from sentence bits.
+    read off a bd slice of sentence bits.
     """
-    rule, u = _RULES["bd"], cu.universe
-    classes, n = range(u.full_mask + 1), len(cu.classes)
+    u, n = cu.universe, len(cu.classes)
     violations: list[tuple[int, int, int]] = []
     consistent_sets = consistent_violations = 0
     # the empty set, then every singleton, then every pair
@@ -545,19 +544,17 @@ def _bprime_sweep(
         for combo in itertools.combinations(range(len(cu.sentences)), k):
             bits = sum(1 << i for i in combo)
             gamma = _class_record(bits, u)
-            bel = [c for c in classes if rule(gamma, True, c) is not None]
-            consistent = _combined_witness("bd", gamma) is None
+            believed, _ = _halves(_slice_masks("bd", gamma), u)
+            consistent = not _report("bd", gamma).combined_inconsistent
             consistent_sets += consistent
-            ctx.checks += len(classes) * len(bel)
-            believed = sum(1 << c for c in bel)
-            for phi in classes:
+            ctx.checks += n * believed.bit_count()
+            for phi in range(n):
                 if believed >> phi & 1:  # conclusion already holds
                     continue
-                grown = _class_record(bits | 1 << n + phi, u)
-                for psi in bel:
-                    if rule(grown, False, psi) is not None:
-                        violations.append((bits, phi, psi))
-                        consistent_violations += consistent
+                _, disbelieved = _halves(_slice("bd", cu, bits | 1 << n + phi), u)
+                for psi in members(believed & disbelieved):
+                    violations.append((bits, phi, psi))
+                    consistent_violations += consistent
     return violations, consistent_sets, consistent_violations
 
 
@@ -1000,7 +997,7 @@ def _d_inconsistency_readings(ctx: _Ctx) -> str:
 def _bprime_derived_rule(ctx: _Ctx) -> str:
     with_bp = RULE_SETS["bd"] | {Rule.BPrime}
     for cu, bits in ctx.sampled_sets(50, 150):
-        if _combined_witness("bd", _class_record(bits, cu.universe)) is not None:
+        if _report("bd", _class_record(bits, cu.universe)).combined_inconsistent:
             continue
         ctx.check(
             _close_classes(with_bp, "derivability", bits, cu)

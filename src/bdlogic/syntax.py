@@ -18,9 +18,10 @@ disbelief under a connective, and the grammar keeps it that way.
 
 The ``.bdl`` document format is line-oriented UTF-8: one sentence per line,
 ``#`` starts a comment to end of line, blank lines are ignored, and a bare
-formula line is shorthand for a belief.  The command line drops one leading
-byte-order mark (U+FEFF) before a document reaches the parser; the parser
-itself rejects the character like any other.
+formula line is shorthand for a belief.  The blanks are space, tab and
+carriage return; the parser rejects any other character outside the
+grammar where it stands, U+00A0 and a byte-order mark (U+FEFF) included,
+though the command line drops one leading byte-order mark first.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NoReturn, Union
 
 __all__ = [
     "Formula",
@@ -293,12 +294,13 @@ def _sentence_sort_key(s: Sentence) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
+_BLANKS = " \t\r"
 _TOKEN_SPEC = [(kind, re.escape(symbol)) for _, kind, symbol in _CONNECTIVES] + [
     ("NOT", r"!"),
     ("LPAREN", r"\("),
     ("RPAREN", r"\)"),
     ("WORD", r"[a-z][a-z0-9_]*"),
-    ("WS", r"[ \t\r]+"),
+    ("WS", f"[{_BLANKS}]+"),
     ("NEWLINE", r"\n"),
     ("BAD", r"."),
 ]
@@ -331,17 +333,12 @@ class DocumentParseError(ValueError):
         super().__init__(f"{len(errors)} syntax error(s): {lines}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str, start: int, line: int) -> list[_Token]:
-    """The tokens of ``text[start:]``, each positioned in the whole of
-    ``text``, whose first line is line ``line``."""
+    """The tokens of ``text[start:]``, each ``(kind, text, line, column)``
+    in the whole of ``text``, whose first line is line ``line``."""
     tokens = []
     line += text.count("\n", 0, start)
     line_start = text.rfind("\n", 0, start) + 1
@@ -356,8 +353,8 @@ def _tokenize(text: str, start: int, line: int) -> list[_Token]:
             continue
         if kind == "BAD":
             raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        tokens.append(_Token(kind, m.group(), line, col))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+        tokens.append((kind, m.group(), line, col))
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -374,21 +371,21 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        """The next token, which must be ``kind``.  Only ever called after
-        a complete operand, where a connective could come as well."""
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> None:
+        """Consume the next token, which must be ``kind``.  Only ever called
+        after a complete operand, where a connective could come as well."""
+        tok = self.advance()
+        if tok[0] != kind:
             self._fail({kind, *_BY_TOKEN}, tok)
-        return self.advance()
 
-    def _fail(self, expected: set[str], tok: _Token) -> None:
+    def _fail(self, expected: set[str], tok: _Token) -> NoReturn:
+        kind, text, line, column = tok
         labels = frozenset(_TOKEN_LABEL[k] for k in expected)
-        shown = tok.text if tok.kind != "EOF" else "end of input"
+        shown = text if kind != "EOF" else "end of input"
         raise ParseError(
             f"expected {' or '.join(sorted(labels))}, found {shown!r}",
-            tok.line,
-            tok.column,
+            line,
+            column,
             labels,
         )
 
@@ -401,31 +398,27 @@ class _Parser:
         """
         node = self.unary()
         while True:
-            level, connective = _BY_TOKEN.get(self.peek().kind, (-1, None))
+            level, connective = _BY_TOKEN.get(self.peek()[0], (-1, None))
             if level < floor:
                 return node
             self.advance()
             node = connective(node, self.formula(level + (connective is not Implies)))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.advance()
+        kind, text, _, _ = tok = self.advance()
+        if kind == "NOT":
             return Not(self.unary())
-        if tok.kind == "WORD":
-            self.advance()
-            if tok.text == "true":
+        if kind == "WORD":
+            if text == "true":
                 return Top()
-            if tok.text == "false":
+            if text == "false":
                 return Bottom()
-            return Atom(tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
+            return Atom(text)
+        if kind == "LPAREN":
             node = self.formula()
             self.expect("RPAREN")
             return node
         self._fail({"NOT", "WORD", "LPAREN"}, tok)
-        raise AssertionError("unreachable")
 
 
 def _formula(text: str, start: int = 0, line: int = 1) -> Formula:
@@ -441,12 +434,12 @@ def parse_formula(text: str) -> Formula:
     return _formula(text)
 
 
-_SENTENCE_PREFIX_RE = re.compile(r"^\s*([BD])\s*:\s*(.*)\Z", re.DOTALL)
+_SENTENCE_PREFIX_RE = re.compile(f"[{_BLANKS}\n]*([BD])[{_BLANKS}\n]*:[{_BLANKS}\n]*")
 
 
 def _sentence(text: str, line: int = 1) -> Sentence:
     m = _SENTENCE_PREFIX_RE.match(text)
-    body = _formula(text, m.start(2) if m else 0, line)
+    body = _formula(text, m.end() if m else 0, line)
     return Disbelief(body) if m and m.group(1) == "D" else Belief(body)
 
 
@@ -465,7 +458,7 @@ def parse_information_set(document: str) -> InformationSet:
     errors: list[ParseError] = []
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        if not line.strip(_BLANKS):
             continue
         try:
             sentences.add(_sentence(line, lineno))

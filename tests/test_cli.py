@@ -167,6 +167,13 @@ class TestCheck:
         assert code == 2
         assert "bad.bdl" in err
 
+    def test_a_blank_the_tokenizer_refuses_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "nbsp.bdl"
+        bad.write_text("B: p\nD:\u00a0q\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad), "--query", "B: p")
+        assert (code, out) == (2, "")
+        assert "unexpected character '\\xa0' at line 2, column 3" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.bdl", "--query", "B: p")
         assert code == 2

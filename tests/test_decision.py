@@ -427,7 +427,7 @@ class TestDisbeliefProjection:
             apart = decision._compile(InformationSet(frozenset(gamma.disbeliefs)), u)
             for logic in LOGICS:
                 rep = inconsistency_report(logic, gamma, u)
-                literal = decision._RULES[logic](apart, False, u.full_mask) is not None
+                literal = decision._fired(logic, apart, False, u.full_mask) is not None
                 assert rep.d_inconsistent_literal == literal, (logic, gamma)
 
 
@@ -468,9 +468,10 @@ class TestClassRecord:
                 assert decision._report(logic, classes) == inconsistency_report(
                     logic, gamma, u
                 ), where
-                rule = decision._RULES[logic]
                 for s in cu.sentences:
-                    got = rule(classes, isinstance(s, Belief), models_of(s.body, u))
+                    got = decision._fired(
+                        logic, classes, isinstance(s, Belief), models_of(s.body, u)
+                    )
                     why = decide(logic, gamma, s, u).rationale
                     want = None if why is None else (why.rule, why.witness_disbelief)
                     assert got == want, (where, s)
@@ -500,6 +501,29 @@ class TestClassRecord:
             record = decision._class_record(bits, u)
             for logic in LOGICS:
                 decision._slice_masks(logic, record)
+
+
+@pytest.mark.parametrize("logic", LOGICS)
+def test_the_slice_and_the_point_test_read_one_shape(logic):
+    # the slice closes the shape over every class at once and a query reads
+    # it part by part: every set at 0 and 1 atoms, seeded sets at 2 and at
+    # 3, past the public two-atom guard (512 sentences each)
+    rng = random.Random(23)
+    for atoms, count in (("", None), ("p", None), ("pq", 200), ("pqr", 40)):
+        u = AtomUniverse(atoms)
+        classes = u.full_mask + 1
+        pool = range(2 * classes)
+        if count is None:
+            sets = range(1 << len(pool))
+        else:
+            sizes = [rng.randint(0, 6) for _ in range(count)]
+            sets = [sum(1 << i for i in rng.sample(pool, k)) for k in sizes]
+        for bits in sets:
+            record = decision._class_record(bits, u)
+            got = decision._slice_masks(logic, record)
+            for i in pool:
+                fired = decision._fired(logic, record, i < classes, i % classes)
+                assert got >> i & 1 == (fired is not None), (u, bits, i)
 
 
 def test_class_readers_leave_a_fresh_set_unsorted(cu2):

@@ -73,6 +73,19 @@ def test_the_decision_procedures_import_no_checker():
     ]
 
 
+def test_the_suite_reads_three_private_names_of_the_decision_procedures():
+    # a set's record, its slice and its inconsistency notions: every
+    # verdict the suite checks on sentence bits comes through these
+    private = {
+        name
+        for module, names, _ in bdlogic_imports("metatheory")
+        if module == "decision"
+        for name in names
+        if name.startswith("_")
+    }
+    assert private == {"_class_record", "_report", "_slice_masks"}
+
+
 def test_the_closure_engine_imports_no_procedure_it_checks():
     imported = {module for module, _, _ in bdlogic_imports("closure")}
     assert not imported & {"bdlogic", "decision", "semantics", "metatheory", "cli"}

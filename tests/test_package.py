@@ -24,7 +24,7 @@ def test_every_export_resolves_to_its_defining_module(name):
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         bdlogic.no_such_name  # noqa: B018
-    assert not hasattr(bdlogic, "_RULES")
+    assert not hasattr(bdlogic, "_shape")
     # not an export, so the import system goes on to load the submodule
     from bdlogic import closure
 

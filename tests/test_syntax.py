@@ -394,8 +394,27 @@ def test_a_prefix_spanning_lines_is_counted_in_lines():
     assert (err.value.line, err.value.column) == (3, 5)
 
 
-# one-line texts of the tokenizer's characters, its blanks and near-misses
-_ONE_LINE = st.text(alphabet="pqr!&|-<>() \t\r%#BD:e", max_size=16)
+@pytest.mark.parametrize(
+    "text, column", [("B:\xa0p", 3), ("D: \u2003q", 4), ("\xa0B: p", 1), ("B: p &\xa0q", 7)]
+)
+def test_a_blank_the_tokenizer_refuses_is_refused_after_a_prefix_too(text, column):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_sentence(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    with pytest.raises(DocumentParseError) as err:
+        parse_information_set("B: p\n" + text)
+    assert [(e.line, e.column) for e in err.value.errors] == [(2, column)]
+
+
+def test_a_line_of_other_blanks_is_not_a_blank_line():
+    with pytest.raises(DocumentParseError) as err:
+        parse_information_set("B: p\n \t\r\n \xa0\t\n")
+    assert [(e.line, e.column) for e in err.value.errors] == [(3, 2)]
+
+
+# one-line texts of the tokenizer's characters, its blanks and near-misses,
+# blanks it refuses among them
+_ONE_LINE = st.text(alphabet="pqr!&|-<>() \t\r\xa0\u2003%#BD:e", max_size=16)
 
 
 @given(st.sampled_from(["B: ", "  D :  ", "D:", "B:\t", " B :"]), _ONE_LINE)
