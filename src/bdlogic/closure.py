@@ -38,7 +38,14 @@ lookup.  Where the added sentence leaves the key as it is (``B: c`` for a
 it a seed contains), the augmented set is the set itself.  Those children
 are answered in bulk, one test of the set's own derivation per application,
 and are neither linked nor recorded as readers: a set that grows is applied
-again anyway.
+again anyway.  The other children are answered once per key too.  Under a
+conjunction key the child key of ``B: c``, and on canonical seeds that of
+``D: c``, depend on ``c`` only through its part within the conjunction, so
+the classes sharing that part are one group, looked up once and linked at
+that part, itself a member of the group; elsewhere each class is a group of
+its own.  Groups are taken by their lowest class, which adds children in
+ascending class order, as a walk class by class would.  Loops over a set of
+classes strip its lowest bit in place; none goes through a generator.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ from .plcore import (
     _classes_of,
     _halves,
     _sentences_of,
-    members,
 )
 from .syntax import InformationSet, Sentence
 from .verdicts import LogicId
@@ -149,6 +155,22 @@ def _world_columns(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+@functools.cache
+def _group_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask ``k`` and class ``c`` of ``n`` atoms, the set of classes
+    ``d`` with ``k & d == k & c``: those ``c`` shares a child key with when
+    ``k`` is the conjunction (see ``_Engine._apply``).  The full mask gives
+    each class alone."""
+    classes = range(1 << (1 << n))
+    tables = []
+    for k in classes:
+        by_rep = [0] * len(classes)
+        for d in classes:
+            by_rep[k & d] |= 1 << d
+        tables.append(tuple(by_rep[k & c] for c in classes))
+    return tuple(tables)
+
+
 def _union(sets: Iterable[int]) -> int:
     """OR of the given ints: a union of sets of classes, or of model sets."""
     return functools.reduce(operator.or_, sets, 0)
@@ -179,7 +201,10 @@ class _SetState:
     applied again when it grows.  ``children`` links the index of an added
     sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as in
     ``ClosureUniverse.sentences``) to the key of the set plus that sentence,
-    for every such set other than this one.
+    for every such set other than this one; a group of classes sharing that
+    set is linked at its representative only (see ``_Engine._apply``).
+    ``own_b`` and ``own_d`` are the classes whose ``B: c`` and ``D: c``
+    children are the set itself, kept where the set has augmented children.
     """
 
     key: tuple[int, int]
@@ -187,6 +212,8 @@ class _SetState:
     seed_disbeliefs: int
     beliefs: int
     disbeliefs: int
+    own_b: int = 0
+    own_d: int = 0
     dirty: bool = True
     readers: set[_SetState] = field(default_factory=set, repr=False)
     children: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
@@ -200,7 +227,9 @@ class _Engine:
         self.full = cu.universe.full_mask
         self.every = (1 << len(cu.classes)) - 1
         self.family: dict[tuple[int, int], _SetState] = {}
-        self._by_conj = not self.membership and Rule.B in rules
+        (self._b, self._dbot, self._wd, self._gd, self._d,
+         self._dprime, self._bprime, self._dtob) = _rule_flags(rules)
+        self._by_conj = not self.membership and self._b
         # Disbelief seeds can be canonicalized — restricted to the belief
         # conjunction, dominated seeds dropped — whenever every disbelief
         # rule present reads its seeds relative to the beliefs (D/DPrime
@@ -209,13 +238,11 @@ class _Engine:
         # rule sets with BPrime, whose children otherwise pile up seeds.
         self._canonical_seeds = (
             self._by_conj
-            and bool(rules & {Rule.D, Rule.DPrime})
-            and not rules & {Rule.WD, Rule.GD, Rule.DtoB}
+            and (self._d or self._dprime)
+            and not (self._wd or self._gd or self._dtob)
         )
-        # rule membership, read once: hashing an enum member is a Python call
-        flags = (Rule.B, Rule.DBot, Rule.WD, Rule.GD, Rule.D, Rule.DPrime, Rule.BPrime, Rule.DtoB)
-        (self._b, self._dbot, self._wd, self._gd, self._d,
-         self._dprime, self._bprime, self._dtob) = (rule in rules for rule in flags)
+        self._augmented = not self.membership and (self._dprime or self._bprime)
+        self._groups = _group_tables(cu.universe.n)
 
     def _conj(self, beliefs: int) -> int:
         """The class of the conjunction of the given belief classes: the
@@ -231,12 +258,16 @@ class _Engine:
         no other restricted seed contains."""
         up = self.cu.up
         r = 0
-        for psi in members(sd):
-            r |= 1 << (key_b & psi)
-        kept = 0
-        for p in members(r):
-            if up[p] & r == 1 << p:
-                kept |= 1 << p
+        while sd:
+            low = sd & -sd
+            sd ^= low
+            r |= 1 << (key_b & (low.bit_length() - 1))
+        kept, rest = 0, r
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if up[low.bit_length() - 1] & r == low:
+                kept |= low
         return kept
 
     def _key(self, sb: int, sd: int) -> tuple[int, int]:
@@ -280,8 +311,10 @@ class _Engine:
             return key_d
         down, widen = self.cu.down, self.full & ~key_b
         own = 0
-        for d in members(key_d):
-            own |= down[d | widen]
+        while key_d:
+            low = key_d & -key_d
+            key_d ^= low
+            own |= down[(low.bit_length() - 1) | widen]
         return own
 
     def _state(self, key: tuple[int, int], sb: int) -> _SetState:
@@ -295,6 +328,8 @@ class _Engine:
                     "this rule set does not close tractably"
                 )
             state = _SetState(key, sb, key[1], sb, key[1])
+            if self._augmented:
+                state.own_b, state.own_d = self._own_b(key), self._own_d(key)
             self.family[key] = state
         return state
 
@@ -302,13 +337,10 @@ class _Engine:
         """The family's set for the raw seeds, added if new."""
         return self._state(self._key(sb, sd), sb)
 
-    def _link(self, state: _SetState, i: int) -> _SetState:
+    def _link(self, state: _SetState, i: int, sb: int) -> _SetState:
         """``state`` plus ``cu.sentences[i]``, keyed from ``state``'s key and
-        linked from it."""
+        linked from it; added with raw seed beliefs ``sb`` if new."""
         key = self._child_key(state.key, i)
-        sb = state.seed_beliefs
-        if i < len(self.cu.classes):
-            sb |= 1 << i
         child = self._state(key, sb)
         state.children[i] = key
         child.readers.add(state)
@@ -341,8 +373,11 @@ class _Engine:
             # down[psi]; the negated disbeliefs refute exactly the classes
             # inside the union of the disbelieved ones (GD)
             widen = full & ~conj if self._d else 0
-            downward, dtob, pooled = self._wd or self._d, self._dtob, 0
-            for psi in members(dis_src):
+            downward, dtob, pooled, rest = self._wd or self._d, self._dtob, 0, dis_src
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                psi = low.bit_length() - 1
                 if downward:
                     add_d |= down[psi | widen]
                 if dtob:
@@ -350,40 +385,62 @@ class _Engine:
                 pooled |= psi
             if self._gd:
                 add_d |= down[pooled]
+        # DPrime and BPrime look up one augmented set per class c, the set
+        # plus B: c or D: c.  Where that set is this one (the classes of
+        # own_b, own_d), all of them are answered at once, with no link.
+        # Other classes come in groups sharing one augmented set: under a
+        # conjunction key the child key of B: c, and on canonical seeds that
+        # of D: c, depend on key_b & c alone (_child_key), so the group is
+        # _groups[key_b][c], linked at its member key_b & c; elsewhere each
+        # class is its own group (_groups[full]).  Groups are taken by their
+        # lowest class, so children are added in ascending class order.
         if self._dprime:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
             elif dis_src:
-                # one augmented set per class: disbelieve c when the set
-                # plus B: c comes to believe something disbelieved.  Where
-                # that set is this one (the classes of _own_b), all of them
-                # are answered at once, with no link
+                # disbelieve c when the set plus B: c comes to believe
+                # something disbelieved
                 todo = self.every & ~(state.disbeliefs | add_d)
-                own = self._own_b(state.key)
                 if state.beliefs & dis_src:
-                    add_d |= todo & own
-                links, family = state.children, self.family
-                for c in members(todo & ~own):
-                    key = links.get(c)
-                    child = self._link(state, c) if key is None else family[key]
+                    add_d |= todo & state.own_b
+                rest = todo & ~state.own_b
+                k = state.key[0] if self._by_conj else full
+                links, family, groups = state.children, self.family, self._groups[k]
+                while rest:
+                    c = (rest & -rest).bit_length() - 1
+                    group = groups[c]
+                    rest &= ~group
+                    key = links.get(k & c)
+                    if key is None:  # a new child's raw seeds take c itself
+                        child = self._link(state, k & c, state.seed_beliefs | 1 << c)
+                    else:
+                        child = family[key]
                     if child.beliefs & dis_src:
-                        add_d |= 1 << c
+                        add_d |= todo & group
         if self._bprime:
             if self.membership:
                 add_b |= self.every if bel_src & state.seed_disbeliefs else bel_src
             elif bel_src:
                 # believe c when the set plus D: c comes to disbelieve
-                # something believed; own children (_own_d) in bulk, as above
+                # something believed
                 todo = self.every & ~(state.beliefs | add_b)
-                own = self._own_d(state.key)
                 if state.disbeliefs & bel_src:
-                    add_b |= todo & own
-                links, family, n = state.children, self.family, len(self.cu.classes)
-                for c in members(todo & ~own):
-                    key = links.get(n + c)
-                    child = self._link(state, n + c) if key is None else family[key]
+                    add_b |= todo & state.own_d
+                rest = todo & ~state.own_d
+                k = state.key[0] if self._canonical_seeds else full
+                links, family, groups = state.children, self.family, self._groups[k]
+                n = len(self.cu.classes)
+                while rest:
+                    c = (rest & -rest).bit_length() - 1
+                    group = groups[c]
+                    rest &= ~group
+                    key = links.get(n + (k & c))
+                    if key is None:
+                        child = self._link(state, n + (k & c), state.seed_beliefs)
+                    else:
+                        child = family[key]
                     if child.disbeliefs & bel_src:
-                        add_b |= 1 << c
+                        add_b |= todo & group
 
         if not (add_b & ~state.beliefs or add_d & ~state.disbeliefs):
             return False
@@ -395,13 +452,32 @@ class _Engine:
         return True
 
 
+@functools.cache
+def _rule_flags(rules: frozenset[Rule]) -> tuple[bool, ...]:
+    """Whether ``rules`` holds each rule, in ``Rule`` order: read once per
+    rule set, as hashing an enum member is a Python call."""
+    return tuple(rule in rules for rule in Rule)
+
+
+@functools.cache
+def _rule_frozenset(rules: frozenset[Rule | str]) -> frozenset[Rule]:
+    return frozenset(map(Rule, rules))
+
+
+_READINGS = get_args(RuleReading)
+
+
 def _rule_side(
     rules: Iterable[Rule | str], reading: str
 ) -> tuple[frozenset[Rule], RuleReading]:
     """``rules`` as ``Rule``s, and ``reading`` checked: an unknown rule name
-    or reading raises ``ValueError``."""
-    rule_set = frozenset(map(Rule, rules))
-    if reading not in get_args(RuleReading):
+    or reading raises ``ValueError``.  A frozenset, hashable throughout, is
+    converted once."""
+    if isinstance(rules, frozenset):
+        rule_set = _rule_frozenset(rules)
+    else:
+        rule_set = frozenset(map(Rule, rules))
+    if reading not in _READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     return rule_set, reading  # type: ignore[return-value]
 

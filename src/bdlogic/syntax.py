@@ -451,12 +451,15 @@ def parse_sentence(text: str) -> Sentence:
 def parse_information_set(document: str) -> InformationSet:
     """Parse a ``.bdl`` document.
 
-    Per-line syntax errors are aggregated into one
-    :class:`DocumentParseError` carrying real line numbers.
+    Lines end at ``\n``, ``\r\n`` or ``\r``, the breaks a text-mode file
+    read knows; any other character stays in its line, where the tokenizer
+    refuses it at its column.  Per-line syntax errors are aggregated into
+    one :class:`DocumentParseError` carrying real line numbers.
     """
     sentences: set[Sentence] = set()
     errors: list[ParseError] = []
-    for lineno, raw in enumerate(document.splitlines(), start=1):
+    lines = document.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip(_BLANKS):
             continue

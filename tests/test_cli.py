@@ -174,6 +174,14 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert "unexpected character '\\xa0' at line 2, column 3" in err
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x85", "\u2028"])
+    def test_a_break_a_file_read_keeps_exits_two(self, capsys, tmp_path, char):
+        bad = tmp_path / "break.bdl"
+        bad.write_text(f"B: p{char}q\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad), "--query", "B: p")
+        assert (code, out) == (2, "")
+        assert f"unexpected character {char!r} at line 1, column 5" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.bdl", "--query", "B: p")
         assert code == 2

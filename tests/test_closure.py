@@ -32,6 +32,7 @@ from bdlogic import (
     readings_agree,
     render_sentence,
 )
+from bdlogic.plcore import members
 
 from conftest import information_sets
 
@@ -321,7 +322,7 @@ def test_seed_conjunction_matches_its_members(cu1, cu2):
         engine = closure_mod._Engine(RULE_SETS["bd"], "derivability", cu)
         for beliefs in range(1 << len(cu.classes)):
             want = cu.universe.full_mask
-            for c in closure_mod.members(beliefs):
+            for c in members(beliefs):
                 want &= c
             assert engine._conj(beliefs) == want, (cu, beliefs)
 
@@ -443,7 +444,7 @@ class _RoundRobinEngine(closure_mod._Engine):
     def _apply(self, state) -> bool:
         self.applied += 1
         rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
-        members, union = closure_mod.members, closure_mod._union
+        union = closure_mod._union
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
@@ -521,14 +522,25 @@ LITERAL_BPRIME_RULE_SETS = {
     "bn+bprime": RULE_SETS["bn"] | {Rule.BPrime},
 }
 
+# Without B a set is keyed by its raw seed beliefs, not their conjunction,
+# and its disbelief seeds are kept as given, so every DPrime and BPrime
+# child has a key of its own.  These families also run into the thousands.
+RAW_SEED_RULE_SETS = {
+    "dbot+wd+dprime": frozenset({Rule.DBot, Rule.WD, Rule.DPrime}),
+    "dbot+d+bprime": frozenset({Rule.DBot, Rule.D, Rule.BPrime}),
+    "d+dprime": frozenset({Rule.D, Rule.DPrime}),
+    "dbot+dprime+bprime": frozenset({Rule.DBot, Rule.DPrime, Rule.BPrime}),
+}
+CAPPED_RULE_SETS = {**LITERAL_BPRIME_RULE_SETS, **RAW_SEED_RULE_SETS}
+
 
 def _checked_rule_sets(caps):
     """(cap, name, rules) for every rule set under each cap, then the
-    literal-seed BPrime sets under a cap of 64."""
+    literal-seed and raw-seed sets under a cap of 64."""
     for cap in caps:
         for name, rules in ALL_RULE_SETS.items():
             yield cap, name, rules
-    for name, rules in LITERAL_BPRIME_RULE_SETS.items():
+    for name, rules in CAPPED_RULE_SETS.items():
         yield 64, name, rules
 
 
@@ -589,13 +601,13 @@ def test_child_keys_match_the_raw_seed_keys(cu1, cu2, monkeypatch):
     assert linked > 0
 
 
-@pytest.mark.parametrize("name", sorted({**AUGMENTED_RULE_SETS, **LITERAL_BPRIME_RULE_SETS}))
+@pytest.mark.parametrize("name", sorted({**AUGMENTED_RULE_SETS, **CAPPED_RULE_SETS}))
 def test_own_children_are_answered_without_links(cu1, cu2, monkeypatch, name):
     # a DPrime or BPrime child that is the set itself is answered in bulk:
     # the set never links to its own key or reads itself
     rules = AUGMENTED_RULE_SETS.get(name)
-    if rules is None:  # literal seeds: families in the thousands
-        rules = LITERAL_BPRIME_RULE_SETS[name]
+    if rules is None:  # literal or raw seeds: families in the thousands
+        rules = CAPPED_RULE_SETS[name]
         monkeypatch.setattr(closure_mod, "_MAX_FAMILY", 64)
     own = 0
     for cu, gamma in _pinned_inputs(cu1, cu2):

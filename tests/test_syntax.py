@@ -412,6 +412,19 @@ def test_a_line_of_other_blanks_is_not_a_blank_line():
     assert [(e.line, e.column) for e in err.value.errors] == [(3, 2)]
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x85", "\u2028"])
+def test_a_document_breaks_lines_only_where_a_file_read_does(char):
+    # str.splitlines() would also break here, and read "B: p<char>q" as two
+    # beliefs; the tokenizer refuses the character inside a formula
+    with pytest.raises(DocumentParseError) as err:
+        parse_information_set(f"B: p{char}q")
+    assert [(e.line, e.column) for e in err.value.errors] == [(1, 5)]
+    assert "unexpected character" in str(err.value)
+    with pytest.raises(DocumentParseError) as err:
+        parse_information_set(f"B: p\r\nD: q # a comment{char}B: r\rB: s{char}")
+    assert [(e.line, e.column) for e in err.value.errors] == [(3, 5)]
+
+
 # one-line texts of the tokenizer's characters, its blanks and near-misses,
 # blanks it refuses among them
 _ONE_LINE = st.text(alphabet="pqr!&|-<>() \t\r\xa0\u2003%#BD:e", max_size=16)
