@@ -155,22 +155,6 @@ def _world_columns(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@functools.cache
-def _group_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per mask ``k`` and class ``c`` of ``n`` atoms, the set of classes
-    ``d`` with ``k & d == k & c``: those ``c`` shares a child key with when
-    ``k`` is the conjunction (see ``_Engine._apply``).  The full mask gives
-    each class alone."""
-    classes = range(1 << (1 << n))
-    tables = []
-    for k in classes:
-        by_rep = [0] * len(classes)
-        for d in classes:
-            by_rep[k & d] |= 1 << d
-        tables.append(tuple(by_rep[k & c] for c in classes))
-    return tuple(tables)
-
-
 def _union(sets: Iterable[int]) -> int:
     """OR of the given ints: a union of sets of classes, or of model sets."""
     return functools.reduce(operator.or_, sets, 0)
@@ -242,7 +226,6 @@ class _Engine:
             and not (self._wd or self._gd or self._dtob)
         )
         self._augmented = not self.membership and (self._dprime or self._bprime)
-        self._groups = _group_tables(cu.universe.n)
 
     def _conj(self, beliefs: int) -> int:
         """The class of the conjunction of the given belief classes: the
@@ -391,9 +374,11 @@ class _Engine:
         # Other classes come in groups sharing one augmented set: under a
         # conjunction key the child key of B: c, and on canonical seeds that
         # of D: c, depend on key_b & c alone (_child_key), so the group is
-        # _groups[key_b][c], linked at its member key_b & c; elsewhere each
-        # class is its own group (_groups[full]).  Groups are taken by their
-        # lowest class, so children are added in ascending class order.
+        # every d with key_b & d == p for p = key_b & c, that is the classes
+        # up[p] & down[p | full & ~key_b], linked at its member p; elsewhere
+        # k is full and each class is its own group, up[c] & down[c].  Groups
+        # are taken by their lowest class, so children are added in
+        # ascending class order.
         if self._dprime:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
@@ -405,14 +390,15 @@ class _Engine:
                     add_d |= todo & state.own_b
                 rest = todo & ~state.own_b
                 k = state.key[0] if self._by_conj else full
-                links, family, groups = state.children, self.family, self._groups[k]
+                links, family, widen = state.children, self.family, full & ~k
                 while rest:
                     c = (rest & -rest).bit_length() - 1
-                    group = groups[c]
+                    p = k & c
+                    group = up[p] & down[p | widen]
                     rest &= ~group
-                    key = links.get(k & c)
+                    key = links.get(p)
                     if key is None:  # a new child's raw seeds take c itself
-                        child = self._link(state, k & c, state.seed_beliefs | 1 << c)
+                        child = self._link(state, p, state.seed_beliefs | 1 << c)
                     else:
                         child = family[key]
                     if child.beliefs & dis_src:
@@ -428,15 +414,16 @@ class _Engine:
                     add_b |= todo & state.own_d
                 rest = todo & ~state.own_d
                 k = state.key[0] if self._canonical_seeds else full
-                links, family, groups = state.children, self.family, self._groups[k]
+                links, family, widen = state.children, self.family, full & ~k
                 n = len(self.cu.classes)
                 while rest:
                     c = (rest & -rest).bit_length() - 1
-                    group = groups[c]
+                    p = k & c
+                    group = up[p] & down[p | widen]
                     rest &= ~group
-                    key = links.get(n + (k & c))
+                    key = links.get(n + p)
                     if key is None:
-                        child = self._link(state, n + (k & c), state.seed_beliefs)
+                        child = self._link(state, n + p, state.seed_beliefs)
                     else:
                         child = family[key]
                     if child.disbeliefs & bel_src:
@@ -471,12 +458,8 @@ def _rule_side(
     rules: Iterable[Rule | str], reading: str
 ) -> tuple[frozenset[Rule], RuleReading]:
     """``rules`` as ``Rule``s, and ``reading`` checked: an unknown rule name
-    or reading raises ``ValueError``.  A frozenset, hashable throughout, is
-    converted once."""
-    if isinstance(rules, frozenset):
-        rule_set = _rule_frozenset(rules)
-    else:
-        rule_set = frozenset(map(Rule, rules))
+    or reading raises ``ValueError``."""
+    rule_set = _rule_frozenset(frozenset(rules))
     if reading not in _READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     return rule_set, reading  # type: ignore[return-value]
