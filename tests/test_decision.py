@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -17,8 +18,12 @@ from bdlogic import (
     Belief,
     Bottom,
     Disbelief,
+    Formula,
+    Iff,
+    Implies,
     InformationSet,
     Not,
+    Or,
     RULE_SETS,
     Top,
     brute_force_consequences,
@@ -138,6 +143,62 @@ class TestRationales:
         assert "not entailed" in v.render()
 
 
+def _same_class(f: Formula, atoms: list[Atom], rng: random.Random) -> Formula:
+    """Another text for ``f``'s class: its operands swapped, doubled,
+    negated twice, padded with a unit, or another falsum or tautology."""
+    a = rng.choice(atoms)
+    if isinstance(f, Bottom):
+        return rng.choice([Bottom(), And(a, Not(a)), And(Not(a), a)])
+    if isinstance(f, Top):
+        return rng.choice([Top(), Or(a, Not(a)), Implies(a, a)])
+    variants = [Not(Not(f)), And(f, f), Or(f, Bottom()), And(Top(), f)]
+    if isinstance(f, (And, Or, Iff)):
+        variants += [type(f)(f.right, f.left)] * 3
+    return rng.choice(variants)
+
+
+def _small_formula(atoms: list[Atom], rng: random.Random, depth: int = 2) -> Formula:
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms + [Not(rng.choice(atoms)), Top(), Bottom()])
+    op = rng.choice([And, And, Or, Or, Implies, Iff])
+    return op(_small_formula(atoms, rng, depth - 1), _small_formula(atoms, rng, depth - 1))
+
+
+def _naming_corpus():
+    """Sets at 2-4 atoms whose disbeliefs repeat a class under other texts,
+    with every rationale that names a witness and every combined witness.
+    Atom names after "false" and "true" make a unit render last."""
+    rng = random.Random(29)
+    for names in ("pq", "abc", "pqrs", "xyz", "tuvw") * 24:
+        atoms = [Atom(n) for n in names]
+        beliefs = [_small_formula(atoms, rng) for _ in range(rng.randint(0, 2))]
+        disbeliefs = []
+        for _ in range(rng.randint(1, 2)):
+            base = rng.choice([_small_formula(atoms, rng), Bottom(), Top()])
+            disbeliefs += [base] + [_same_class(base, atoms, rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            beliefs.append(rng.choice(disbeliefs + [Top(), Bottom()]))
+        gamma = InformationSet(
+            frozenset(map(Belief, beliefs)) | frozenset(map(Disbelief, disbeliefs))
+        )
+        yield repr(str(gamma))
+        bodies = [Top(), Bottom()] + [f(x) for x in atoms for f in (lambda x: x, Not)]
+        bodies += [op(x, y) for x, y in zip(atoms, atoms[1:]) for op in (And, Or)]
+        for logic in LOGICS:
+            for alpha in [k(body) for body in bodies for k in (Belief, Disbelief)]:
+                why = decide(logic, gamma, alpha).rationale
+                yield f"{logic} {alpha}: {why and why.render()}"
+            witness = inconsistency_report(logic, gamma).witness_formula
+            yield f"{logic} witness: {witness and render_formula(witness)}"
+
+
+def test_naming_corpus_is_unchanged():
+    # the witness bodies named where a verdict prints one, on sets whose
+    # disbelieved classes each have several texts
+    digest = hashlib.sha256("\n".join(_naming_corpus()).encode("utf-8")).hexdigest()
+    assert digest == "4a7a0ebfc736bf7ea1d9bb4c0be1f7e869c77f5e4731b3b42f1195aefda8e9ed"
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("logic", MODEL_LOGICS)
     @settings(max_examples=40)
@@ -253,6 +314,28 @@ class TestInconsistencyReport:
         rep = inconsistency_report("bd", MURDER)
         assert rep.fully_consistent()
         assert rep.witness_formula is None
+
+    @pytest.mark.parametrize(
+        "logic, text, witness",
+        [
+            # two disbelieved texts of one class: the first rendered
+            ("wbd", "B: p & q\nD: q & p\nD: p & q", "p & q"),
+            # the falsum and a disbelieved contradiction tie on class 0
+            ("bd", "B: false\nD: a & !a", "a & !a"),
+            ("bd", "B: false\nD: p & !p", "false"),
+            # gbd's merged beliefs tie with a disbelieved text of their class
+            ("gbd", "B: p\nB: q\nD: q & p", "p & q"),
+            # bn's pooled falsum is the lowest class; the contradiction is
+            # not believed
+            ("bn", "D: a & !a\nD: true", "false"),
+        ],
+    )
+    def test_a_tie_on_the_lowest_class_names_the_first_rendered(
+        self, logic, text, witness
+    ):
+        rep = inconsistency_report(logic, parse_information_set(text))
+        assert rep.combined_inconsistent
+        assert render_formula(rep.witness_formula) == witness
 
     @settings(max_examples=40)
     @given(gamma=information_sets(max_size=3, max_leaves=4))
