@@ -16,12 +16,13 @@ logic     belief ``B: f``          disbelief ``D: f``
 ========  =======================  ==========================================
 
 Each logic is one shape over one record of a set's masks (the models of
-``G_B``, of ``~G_D`` and of each disbelieved formula), built whole from the
+``G_B`` and of ``~G_D``, and the disbelieved classes), built whole from the
 set's formulas (once per set and atom tuple, kept on the set) or from its
 class sentences.  A shape is a floor and a few generators, each a class
 with the disjunct it stands for: a belief is entailed iff its class
 contains the floor, a disbelief iff its class lies inside a generator.  A
-query reads the shape part by part, a consequence slice reads it whole.
+query reads the shape part by part, a consequence slice reads it whole, and
+only a verdict that prints a formula names one, from the set's own bodies.
 A set of class sentences over a universe of one or two atoms is one int,
 bit i standing for ``plcore._class_sentences(atoms)[i]`` (``B: c`` at bit
 c, ``D: c`` at bit 2^(2^n) + c); it goes in and a consequence slice comes
@@ -35,12 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
 from .plcore import (
     AtomUniverse,
-    _class_sentences,
     _classes_of,
     _halves,
     _sentences_of,
@@ -81,61 +81,43 @@ _RECORDS_KEPT = 4
 
 @dataclass
 class _Compiled:
-    """A set over one universe, as the masks its shapes are made of.
-
-    :func:`_compile` builds it from the set's formulas and
-    :func:`_class_record` from class sentences; both set every field at once.
-    """
+    """A set over one universe, as the masks its shapes are made of, built
+    from formulas by :func:`_compile` or from classes by :func:`_class_record`."""
 
     universe: AtomUniverse
     beliefs: int  # models of ``G_B``
-    # the disbelieved bodies with their masks, by mask, ties in rendering order
-    witnesses: list[tuple[int, Formula]]
+    witnesses: tuple[int, ...]  # the disbelieved classes, ascending
     dual: int  # models of ``~G_D``
-    belief_bodies: tuple[Formula, ...]
 
 
-def _compile(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
-    """``gamma``'s record, each body evaluated once.
-
-    ``disbelief_bodies`` is already in rendering order and the sort is
-    stable, so witnesses with equal masks keep it without rendering again.
-    """
-    witnesses = sorted(
-        ((models_of(body, universe), body) for body in gamma.disbelief_bodies),
-        key=itemgetter(0),
-    )
-    return _Compiled(
-        universe,
-        conjunction_mask(gamma.belief_bodies, universe),
-        witnesses,
-        universe.full_mask & ~reduce(or_, (mask for mask, _ in witnesses), 0),
-        gamma.belief_bodies,
-    )
+def _compile(
+    gamma: InformationSet, universe: AtomUniverse
+) -> tuple[_Compiled, tuple[int, ...]]:
+    """``gamma``'s record and the class of each disbelieved body, in rendering
+    order, each body evaluated once.  No class is hashed: at 16 atoms a class
+    is a 2^16-bit int, so the distinct classes are read off a sorted list."""
+    classes = tuple(models_of(body, universe) for body in gamma.disbelief_bodies)
+    ordered = sorted(classes)
+    witnesses = tuple(w for i, w in enumerate(ordered) if i == 0 or ordered[i - 1] != w)
+    beliefs = conjunction_mask(gamma.belief_bodies, universe)
+    dual = universe.full_mask & ~reduce(or_, classes, 0)
+    return _Compiled(universe, beliefs, witnesses, dual), classes
 
 
 def _class_record(bits: int, universe: AtomUniverse) -> _Compiled:
-    """The record of the set of class sentences ``bits`` stands for, each
-    class's body taken from its shared sentence in :func:`plcore._class_sentences`.
-
-    For a set of class representatives it equals the record compiled from
-    the set's formulas, but no formula is evaluated or rendered: the masks
-    are the classes themselves, in ascending order.
-    """
+    """The record of the set of class sentences ``bits`` stands for: the classes
+    themselves, nothing evaluated or rendered, as any set of them compiles to."""
     full, (sb, sd) = universe.full_mask, _halves(bits, universe)
-    table = _class_sentences(universe.atoms)
-    return _Compiled(
-        universe,
-        reduce(and_, members(sb), full),
-        [(c, table[c].body) for c in members(sd)],
-        full & ~reduce(or_, members(sd), 0),
-        tuple(table[c].body for c in members(sb)),
-    )
+    witnesses = tuple(members(sd))
+    dual = full & ~reduce(or_, witnesses, 0)
+    return _Compiled(universe, reduce(and_, members(sb), full), witnesses, dual)
 
 
-def _compiled(gamma: InformationSet, universe: AtomUniverse) -> _Compiled:
-    """``gamma`` compiled over ``universe``: once per set and atom tuple,
-    kept on the set as :func:`plcore._classes_of` keeps its class masks.
+def _compiled(
+    gamma: InformationSet, universe: AtomUniverse
+) -> tuple[_Compiled, tuple[int, ...]]:
+    """:func:`_compile` of ``gamma`` over ``universe``: once per set and atom
+    tuple, kept on the set as :func:`plcore._classes_of` keeps its class masks.
     The set keeps the records of its last ``_RECORDS_KEPT`` atom tuples,
     dropping the oldest, so a set queried over many universes stays small."""
     memo = gamma._records
@@ -158,17 +140,17 @@ _DESCRIPTIONS = {
 }
 
 
-def _shape(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str, Formula | None]]:
-    """``logic``'s shape over ``c``, as parts ``(class, rule, body)``: the
+def _shape(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str, int | None]]:
+    """``logic``'s shape over ``c``, as parts ``(class, rule, witness)``: the
     floor, then the generators in firing order, so the first that holds a
-    query names its rule and the disbelieved body it used (WD and D).
+    query names its rule and the disbelieved class it used (WD and D).
     The parts are made lazily: a query computes only those it reads."""
     full, b = c.universe.full_mask, c.beliefs
     if logic == "wbd":
         yield b, "B", None
         yield 0, "DBot", None
-        for witness, body in c.witnesses:
-            yield witness, "WD", body
+        for witness in c.witnesses:
+            yield witness, "WD", witness
     elif logic == "gbd":
         yield b, "B", None
         yield full & ~c.dual, "GD", None
@@ -177,8 +159,8 @@ def _shape(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str, Formula | N
         yield 0, "DBot", None
         outside = full & ~b
         yield outside, "BtoD", None
-        for witness, body in c.witnesses:
-            yield outside | witness, "D", body
+        for witness in c.witnesses:
+            yield outside | witness, "D", witness
     else:
         floor = b & c.dual
         yield floor, "BN", None
@@ -187,17 +169,17 @@ def _shape(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str, Formula | N
 
 def _fired(
     logic: LogicId, c: _Compiled, belief: bool, mask: int
-) -> tuple[str, Formula | None] | None:
-    """The rule and body of the first part of ``logic``'s shape that entails
-    the query of class ``mask``, or None; :func:`_decide` makes the rationale."""
+) -> tuple[str, int | None] | None:
+    """The rule and witness class of the first part of ``logic``'s shape that
+    entails the query of class ``mask``, or None; :func:`_decide` names it."""
     parts = _shape(logic, c)
-    floor, rule, body = next(parts)
+    floor, rule, witness = next(parts)
     # containment as one operation: no complement of a 2^n-bit mask
     if belief:
-        return (rule, body) if mask & floor == floor else None
-    for generator, rule, body in parts:
+        return (rule, witness) if mask & floor == floor else None
+    for generator, rule, witness in parts:
         if mask | generator == generator:
-            return rule, body
+            return rule, witness
     return None
 
 
@@ -208,9 +190,11 @@ def _decide(
     universe: AtomUniverse | None,
 ) -> Verdict:
     u = universe if universe is not None else universe_for(gamma, alpha)
-    belief = isinstance(alpha, Belief)
-    fired = _fired(logic, _compiled(gamma, u), belief, models_of(alpha.body, u))
-    rationale = None if fired is None else Rationale(*fired, _DESCRIPTIONS[fired[0]])
+    c, classes = _compiled(gamma, u)
+    fired = _fired(logic, c, isinstance(alpha, Belief), models_of(alpha.body, u))
+    rule, witness = fired or (None, None)
+    body = None if witness is None else gamma.disbelief_bodies[classes.index(witness)]
+    rationale = rule and Rationale(rule, body, _DESCRIPTIONS[rule])
     return Verdict(logic, alpha, entailed=fired is not None, rationale=rationale)
 
 
@@ -297,20 +281,16 @@ class InconsistencyReport:
         )
 
 
-def _combined_witness(logic: LogicId, c: _Compiled) -> Optional[Formula]:
-    """Smallest-class candidate believed and disbelieved at once, if any."""
-    beliefs = c.beliefs
-    candidates = [(mask, body) for mask, body in c.witnesses if beliefs & ~mask == 0]
-    if beliefs == 0 or (logic == "bn" and beliefs & c.dual == 0):
-        candidates.append((0, Bottom()))
-    if logic == "gbd" and beliefs & c.dual == 0:
-        merged: Formula = Top()
-        for body in sorted(c.belief_bodies, key=render_formula):
-            merged = body if isinstance(merged, Top) else And(merged, body)
-        candidates.append((beliefs, merged))
-    if not candidates:
-        return None
-    return min(candidates, key=lambda item: (item[0], render_formula(item[1])))[1]
+def _clashes(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str]]:
+    """The classes ``logic`` both believes and disbelieves over ``c``, each with
+    the kind of its name (``D`` a disbelieved body, ``false`` the falsum, ``B``
+    gbd's merged beliefs): combined inconsistency's flag and witness read it."""
+    b = c.beliefs
+    yield from ((witness, "D") for witness in c.witnesses if b | witness == witness)
+    if b == 0 or (logic == "bn" and b & c.dual == 0):
+        yield 0, "false"
+    if logic == "gbd" and b & c.dual == 0:
+        yield b, "B"
 
 
 def inconsistency_report(
@@ -322,22 +302,41 @@ def inconsistency_report(
     """
     _require_logic(logic)
     u = universe if universe is not None else universe_for(gamma)
-    return _report(logic, _compiled(gamma, u))
+    c, classes = _compiled(gamma, u)
+    clashes = list(_clashes(logic, c))
+    if not clashes:
+        return _report(logic, c)
+
+    def name(witness: int, kind: str) -> Formula:
+        if kind == "D":
+            return gamma.disbelief_bodies[classes.index(witness)]
+        if kind == "false":
+            return Bottom()
+        merged: Formula = Top()  # folded left; a leading ``true`` is dropped
+        for body in gamma.belief_bodies:
+            merged = body if isinstance(merged, Top) else And(merged, body)
+        return merged
+
+    # of the lowest class that clashes, the first rendered of its names
+    low = min(clashes)[0]
+    named = (name(w, kind) for w, kind in clashes if w == low)
+    return _report(logic, c, min(named, key=render_formula))
 
 
-def _report(logic: LogicId, c: _Compiled) -> InconsistencyReport:
-    """The inconsistency notions of one compiled set under ``logic``."""
+def _report(
+    logic: LogicId, c: _Compiled, witness: Optional[Formula] = None
+) -> InconsistencyReport:
+    """The inconsistency flags of one record under ``logic``, read off its
+    masks alone, with the combined witness :func:`inconsistency_report` named."""
     full = c.universe.full_mask
-    # the disbelief projection: no beliefs, gamma's witnesses and dual
-    projection = _Compiled(c.universe, full, c.witnesses, c.dual, ())
-    witness = _combined_witness(logic, c)
+    projection = _Compiled(c.universe, full, c.witnesses, c.dual)  # with no beliefs
     return InconsistencyReport(
         logic=logic,
         b_inconsistent=c.beliefs == 0,
         # D: true, whose mask is the full one
         d_inconsistent=_fired(logic, c, False, full) is not None,
         d_inconsistent_literal=_fired(logic, projection, False, full) is not None,
-        combined_inconsistent=witness is not None,
+        combined_inconsistent=next(_clashes(logic, c), None) is not None,
         witness_formula=witness,
     )
 

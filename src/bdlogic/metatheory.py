@@ -23,9 +23,9 @@ every consequence slice, read through ``_slice``; subsets, unions and
 projections are bit operations.  The closure engine, the enumeration
 oracle's batched slices and ``plcore._classes_of`` take and give that int
 whole, and only ``plcore._halves`` splits it into belief and disbelief
-classes.  Of ``decision``'s private names it reads a set's record
+classes.  Of ``decision``'s private names it reads a set's mask-only record
 (``_class_record``), its slice (``_slice_masks``) and its inconsistency
-notions (``_report``).  An ``InformationSet`` is built only for a failure
+flags (``_report``).  An ``InformationSet`` is built only for a failure
 message and for the formula-level checks whose independence is their
 point: the oracle's entailments and model counts, countermodels, universe
 extension and the parsed canonical witnesses.

@@ -228,7 +228,7 @@ class InformationSet:
 
     @cached_property
     def _records(self) -> dict[tuple[str, ...], object]:
-        """``decision._compiled``'s memo: a record per atom tuple, filled on demand."""
+        """``decision._compiled``'s memo per atom tuple: a record, its bodies' classes."""
         return {}
 
     @cached_property
