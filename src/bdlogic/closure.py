@@ -13,17 +13,19 @@ less than the decision procedures.  Under ``derivability``, those premises
 range over everything derived so far, giving the usual recursive reading.
 
 ``DPrime``/``BPrime`` premises speak about *augmented* sets ("the set plus
-one more sentence derives ..."), so the engine maintains a family of
-reachable sets and iterates over the whole family until nothing changes
-anywhere: a joint least fixed point.  All rule premises are monotone in the
-derived sets, so the iteration converges, and every state only ever grows.
-Each round walks the family in insertion order but applies the rules only
-to a *dirty* set: one that is new, that grew, or that has looked up an
-augmented set which grew since the set was last applied.  A clean set would
-read the same inputs, look up the same augmented sets (through its links, so
-nothing is added) and derive nothing new, so skipping it changes nothing: the
-fixed point, the family, its order and where the family cap trips are those
-of applying every set in every round.
+one more sentence derives ..."), so the engine keeps a family of reachable
+sets and closes them jointly: a joint least fixed point.  All rule premises
+are monotone in the derived sets, so every set only ever grows.  A set is
+closed when it is added, by applying the rules until nothing grows; a child
+it looks up for the first time is added, and so closed, before the set reads
+it.  Apart from the children that are the set itself, which are answered in
+bulk (see below), the child graph has no cycle: a child's key is strictly
+more informative than its parent's.  ``DPrime``'s ``B: c`` narrows the belief
+conjunction (or adds a raw belief seed), and ``BPrime``'s ``D: c`` adds a
+disbelief seed (on canonical seeds, one that no seed contains).  So a closed
+child never grows again, and closing each set after the sets it reads (a
+weak topological order: Bourdoncle, FMPA 1993) reaches the fixed point that
+re-applying every set until nothing changes anywhere reaches.
 
 When rule ``B`` is present (every rule set of interest), a set's derivation
 under the derivability reading is a function of the conjunction of its seed
@@ -37,15 +39,15 @@ lookup.  Where the added sentence leaves the key as it is (``B: c`` for a
 ``c`` that contains the conjunction, ``D: c`` for a ``c`` whose part within
 it a seed contains), the augmented set is the set itself.  Those children
 are answered in bulk, one test of the set's own derivation per application,
-and are neither linked nor recorded as readers: a set that grows is applied
-again anyway.  The other children are answered once per key too.  Under a
-conjunction key the child key of ``B: c``, and on canonical seeds that of
-``D: c``, depend on ``c`` only through its part within the conjunction, so
-the classes sharing that part are one group, looked up once and linked at
-that part, itself a member of the group; elsewhere each class is a group of
-its own.  Groups are taken by their lowest class, which adds children in
-ascending class order, as a walk class by class would.  Loops over a set of
-classes strip its lowest bit in place; none goes through a generator.
+and are not linked: a set that grows is applied again anyway.  The other
+children are answered once per key too.  Under a conjunction key the child
+key of ``B: c``, and on canonical seeds that of ``D: c``, depend on ``c``
+only through its part within the conjunction, so the classes sharing that
+part are one group, looked up once and linked at that part, itself a member
+of the group; elsewhere each class is a group of its own.  Groups are taken
+by their lowest class, which adds children in ascending class order, as a
+walk class by class would.  Loops over a set of classes strip its lowest bit
+in place; none goes through a generator.
 """
 
 from __future__ import annotations
@@ -179,14 +181,12 @@ class _SetState:
     """One set of the family, under its family ``key``.
 
     The seed, belief and disbelief fields are sets of classes; the seed
-    disbeliefs are the key's second half.  ``dirty`` says the rules must be
-    applied to the set again; ``readers`` are the other sets whose
-    ``DPrime``/``BPrime`` premises looked this one up, and so must be
-    applied again when it grows.  ``children`` links the index of an added
-    sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as in
-    ``ClosureUniverse.sentences``) to the key of the set plus that sentence,
-    for every such set other than this one; a group of classes sharing that
-    set is linked at its representative only (see ``_Engine._apply``).
+    disbeliefs are the key's second half.  ``children`` links the index of an
+    added sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as
+    in ``ClosureUniverse.sentences``) to the key of the set plus that
+    sentence, for every such set other than this one; a group of classes
+    sharing that set is linked at its representative only (see
+    ``_Engine._apply``).
     ``own_b`` and ``own_d`` are the classes whose ``B: c`` and ``D: c``
     children are the set itself, kept where the set has augmented children.
     """
@@ -198,8 +198,6 @@ class _SetState:
     disbeliefs: int
     own_b: int = 0
     own_d: int = 0
-    dirty: bool = True
-    readers: set[_SetState] = field(default_factory=set, repr=False)
     children: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
 
 
@@ -301,8 +299,11 @@ class _Engine:
         return own
 
     def _state(self, key: tuple[int, int], sb: int) -> _SetState:
-        """The family's set under ``key``, added with raw seed beliefs ``sb``
-        if new."""
+        """The family's closed set under ``key``, added with raw seed beliefs
+        ``sb`` and closed if new.  It joins the family before it is closed, so
+        the cap trips exactly when the family would outgrow it.  Closing it
+        may add and close its children first, three frames per generation:
+        sets nest at most 17 deep at two atoms (measured)."""
         state = self.family.get(key)
         if state is None:
             if len(self.family) >= _MAX_FAMILY:
@@ -314,35 +315,24 @@ class _Engine:
             if self._augmented:
                 state.own_b, state.own_d = self._own_b(key), self._own_d(key)
             self.family[key] = state
+            while self._apply(state):
+                pass
         return state
 
     def register(self, sb: int, sd: int) -> _SetState:
-        """The family's set for the raw seeds, added if new."""
+        """The family's closed set for the raw seeds, added if new."""
         return self._state(self._key(sb, sd), sb)
 
     def _link(self, state: _SetState, i: int, sb: int) -> _SetState:
         """``state`` plus ``cu.sentences[i]``, keyed from ``state``'s key and
-        linked from it; added with raw seed beliefs ``sb`` if new."""
+        linked from it; added with raw seed beliefs ``sb`` and closed if new."""
         key = self._child_key(state.key, i)
         child = self._state(key, sb)
         state.children[i] = key
-        child.readers.add(state)
         return child
 
-    def run(self) -> None:
-        while True:
-            size = len(self.family)
-            changed = False
-            for state in list(self.family.values()):
-                if state.dirty:
-                    changed |= self._apply(state)
-            # a freshly registered set counts as progress even when nothing
-            # grew this round: it still has to be processed at least once
-            if not changed and len(self.family) == size:
-                return
-
     def _apply(self, state: _SetState) -> bool:
-        state.dirty = False
+        """Apply the rules to ``state`` once; whether it grew."""
         full, up, down = self.full, self.cu.up, self.cu.down
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
@@ -433,9 +423,6 @@ class _Engine:
             return False
         state.beliefs |= add_b
         state.disbeliefs |= add_d
-        state.dirty = True
-        for reader in state.readers:
-            reader.dirty = True
         return True
 
 
@@ -476,7 +463,6 @@ def _close_classes(
     and ``reading`` are taken as checked (see :func:`_rule_side`)."""
     engine = _Engine(frozenset(rules), reading, cu)
     top = engine.register(*_halves(bits, cu.universe))
-    engine.run()
     return top.beliefs | top.disbeliefs << len(cu.classes)
 
 

@@ -281,16 +281,20 @@ class InconsistencyReport:
         )
 
 
-def _clashes(logic: LogicId, c: _Compiled) -> Iterator[tuple[int, str]]:
+def _clashes(logic: LogicId, c: _Compiled) -> list[tuple[int, str]]:
     """The classes ``logic`` both believes and disbelieves over ``c``, each with
     the kind of its name (``D`` a disbelieved body, ``false`` the falsum, ``B``
     gbd's merged beliefs): combined inconsistency's flag and witness read it."""
     b = c.beliefs
-    yield from ((witness, "D") for witness in c.witnesses if b | witness == witness)
+    clashes = []
+    for witness in c.witnesses:
+        if b | witness == witness:
+            clashes.append((witness, "D"))
     if b == 0 or (logic == "bn" and b & c.dual == 0):
-        yield 0, "false"
+        clashes.append((0, "false"))
     if logic == "gbd" and b & c.dual == 0:
-        yield b, "B"
+        clashes.append((b, "B"))
+    return clashes
 
 
 def inconsistency_report(
@@ -303,9 +307,6 @@ def inconsistency_report(
     _require_logic(logic)
     u = universe if universe is not None else universe_for(gamma)
     c, classes = _compiled(gamma, u)
-    clashes = list(_clashes(logic, c))
-    if not clashes:
-        return _report(logic, c)
 
     def name(witness: int, kind: str) -> Formula:
         if kind == "D":
@@ -317,27 +318,33 @@ def inconsistency_report(
             merged = body if isinstance(merged, Top) else And(merged, body)
         return merged
 
-    # of the lowest class that clashes, the first rendered of its names
-    low = min(clashes)[0]
-    named = (name(w, kind) for w, kind in clashes if w == low)
-    return _report(logic, c, min(named, key=render_formula))
+    def first_name(clashes: list[tuple[int, str]]) -> Formula:
+        # of the lowest class that clashes, the first rendered of its names
+        low = min(clashes)[0]
+        return min((name(w, kind) for w, kind in clashes if w == low), key=render_formula)
+
+    return _report(logic, c, first_name)
 
 
 def _report(
-    logic: LogicId, c: _Compiled, witness: Optional[Formula] = None
+    logic: LogicId,
+    c: _Compiled,
+    name: Callable[[list[tuple[int, str]]], Formula] | None = None,
 ) -> InconsistencyReport:
     """The inconsistency flags of one record under ``logic``, read off its
-    masks alone, with the combined witness :func:`inconsistency_report` named."""
+    masks alone.  The combined flag and witness read one scan of the
+    clashes; ``name``, from :func:`inconsistency_report`, names the witness."""
     full = c.universe.full_mask
     projection = _Compiled(c.universe, full, c.witnesses, c.dual)  # with no beliefs
+    clashes = _clashes(logic, c)
     return InconsistencyReport(
         logic=logic,
         b_inconsistent=c.beliefs == 0,
         # D: true, whose mask is the full one
         d_inconsistent=_fired(logic, c, False, full) is not None,
         d_inconsistent_literal=_fired(logic, projection, False, full) is not None,
-        combined_inconsistent=next(_clashes(logic, c), None) is not None,
-        witness_formula=witness,
+        combined_inconsistent=bool(clashes),
+        witness_formula=name(clashes) if clashes and name is not None else None,
     )
 
 
