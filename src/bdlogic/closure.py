@@ -30,31 +30,29 @@ re-applying every set until nothing changes anywhere reaches.
 When rule ``B`` is present (every rule set of interest), a set's derivation
 under the derivability reading is a function of the conjunction of its seed
 beliefs plus its seed disbelief classes, which keys the family and keeps it
-small.  Only the top set is keyed from its raw seeds.  An augmented set's key
-comes from its parent's: ``B: c`` narrows the conjunction to ``c``, and
-``D: c`` adds one class to the disbelief seeds (on canonical seeds, ``c``
-within the conjunction, unless a seed contains it already).  The parent keeps
-a link from the added sentence to that key, so a repeat visit is a dict
-lookup.  Where the added sentence leaves the key as it is (``B: c`` for a
-``c`` that contains the conjunction, ``D: c`` for a ``c`` whose part within
-it a seed contains), the augmented set is the set itself.  Those children
-are answered in bulk, one test of the set's own derivation per application,
-and are not linked: a set that grows is applied again anyway.  The other
-children are answered once per key too.  Under a conjunction key the child
-key of ``B: c``, and on canonical seeds that of ``D: c``, depend on ``c``
-only through its part within the conjunction, so the classes sharing that
-part are one group, looked up once and linked at that part, itself a member
-of the group; elsewhere each class is a group of its own.  Groups are taken
-by their lowest class, which adds children in ascending class order, as a
-walk class by class would.  Loops over a set of classes strip its lowest bit
-in place; none goes through a generator.
+small.  An augmented set's key comes from its parent's: ``B: c`` narrows the
+conjunction to ``c``, and ``D: c`` adds one class to the disbelief seeds (on
+canonical seeds, ``c`` within the conjunction, unless a seed contains it
+already).  Every child is read through the family by that key.  Where the
+added sentence leaves the key as it is (``B: c`` for a ``c`` that contains
+the conjunction, ``D: c`` for a ``c`` whose part within it a seed contains),
+the augmented set is the set itself.  Those children are answered in bulk,
+one test of the set's own derivation per application.  The other children
+are answered once per key too.  Under a conjunction key the child key of
+``B: c``, and on canonical seeds that of ``D: c``, depend on ``c`` only
+through its part within the conjunction, so the classes sharing that part
+are one group, looked up once at that part, itself a member of the group;
+elsewhere each class is a group of its own.  Groups are taken by their
+lowest class, which adds children in ascending class order, as a walk class
+by class would.  Loops over a set of classes strip its lowest bit in place;
+none goes through a generator.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, get_args
 
@@ -181,24 +179,17 @@ class _SetState:
     """One set of the family, under its family ``key``.
 
     The seed, belief and disbelief fields are sets of classes; the seed
-    disbeliefs are the key's second half.  ``children`` links the index of an
-    added sentence (``B: c`` at ``c``, ``D: c`` at ``len(classes) + c``, as
-    in ``ClosureUniverse.sentences``) to the key of the set plus that
-    sentence, for every such set other than this one; a group of classes
-    sharing that set is linked at its representative only (see
-    ``_Engine._apply``).
-    ``own_b`` and ``own_d`` are the classes whose ``B: c`` and ``D: c``
-    children are the set itself, kept where the set has augmented children.
+    disbeliefs are the key's second half, ``key[1]``.  ``own_b`` and
+    ``own_d`` are the classes whose ``B: c`` and ``D: c`` children are the
+    set itself, kept where the set has augmented children.
     """
 
     key: tuple[int, int]
     seed_beliefs: int
-    seed_disbeliefs: int
     beliefs: int
     disbeliefs: int
     own_b: int = 0
     own_d: int = 0
-    children: dict[int, tuple[int, int]] = field(default_factory=dict, repr=False)
 
 
 class _Engine:
@@ -302,8 +293,9 @@ class _Engine:
         """The family's closed set under ``key``, added with raw seed beliefs
         ``sb`` and closed if new.  It joins the family before it is closed, so
         the cap trips exactly when the family would outgrow it.  Closing it
-        may add and close its children first, three frames per generation:
-        sets nest at most 17 deep at two atoms (measured)."""
+        may add and close its children first, two frames per generation
+        (``_state``, ``_apply``): sets nest at most 17 deep at two atoms
+        (measured)."""
         state = self.family.get(key)
         if state is None:
             if len(self.family) >= _MAX_FAMILY:
@@ -311,7 +303,7 @@ class _Engine:
                     f"rule evaluation reached {_MAX_FAMILY} auxiliary sets; "
                     "this rule set does not close tractably"
                 )
-            state = _SetState(key, sb, key[1], sb, key[1])
+            state = _SetState(key, sb, sb, key[1])
             if self._augmented:
                 state.own_b, state.own_d = self._own_b(key), self._own_d(key)
             self.family[key] = state
@@ -323,19 +315,11 @@ class _Engine:
         """The family's closed set for the raw seeds, added if new."""
         return self._state(self._key(sb, sd), sb)
 
-    def _link(self, state: _SetState, i: int, sb: int) -> _SetState:
-        """``state`` plus ``cu.sentences[i]``, keyed from ``state``'s key and
-        linked from it; added with raw seed beliefs ``sb`` and closed if new."""
-        key = self._child_key(state.key, i)
-        child = self._state(key, sb)
-        state.children[i] = key
-        return child
-
     def _apply(self, state: _SetState) -> bool:
         """Apply the rules to ``state`` once; whether it grew."""
         full, up, down = self.full, self.cu.up, self.cu.down
         bel_src = state.seed_beliefs if self.membership else state.beliefs
-        dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
+        dis_src = state.key[1] if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
         add_b = up[conj] if self._b else 0
         add_d = 1 if self._dbot else 0
@@ -360,15 +344,15 @@ class _Engine:
                 add_d |= down[pooled]
         # DPrime and BPrime look up one augmented set per class c, the set
         # plus B: c or D: c.  Where that set is this one (the classes of
-        # own_b, own_d), all of them are answered at once, with no link.
-        # Other classes come in groups sharing one augmented set: under a
-        # conjunction key the child key of B: c, and on canonical seeds that
-        # of D: c, depend on key_b & c alone (_child_key), so the group is
-        # every d with key_b & d == p for p = key_b & c, that is the classes
-        # up[p] & down[p | full & ~key_b], linked at its member p; elsewhere
-        # k is full and each class is its own group, up[c] & down[c].  Groups
-        # are taken by their lowest class, so children are added in
-        # ascending class order.
+        # own_b, own_d), all of them are answered at once.  Other classes
+        # come in groups sharing one augmented set: under a conjunction key
+        # the child key of B: c, and on canonical seeds that of D: c, depend
+        # on key_b & c alone (_child_key), so the group is every d with
+        # key_b & d == p for p = key_b & c, that is the classes
+        # up[p] & down[p | full & ~key_b], read through _state at its member
+        # p; elsewhere k is full and each class is its own group,
+        # up[c] & down[c].  Groups are taken by their lowest class, so
+        # children are added in ascending class order.
         if self._dprime:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
@@ -380,22 +364,19 @@ class _Engine:
                     add_d |= todo & state.own_b
                 rest = todo & ~state.own_b
                 k = state.key[0] if self._by_conj else full
-                links, family, widen = state.children, self.family, full & ~k
+                widen = full & ~k
                 while rest:
                     c = (rest & -rest).bit_length() - 1
                     p = k & c
                     group = up[p] & down[p | widen]
                     rest &= ~group
-                    key = links.get(p)
-                    if key is None:  # a new child's raw seeds take c itself
-                        child = self._link(state, p, state.seed_beliefs | 1 << c)
-                    else:
-                        child = family[key]
+                    # a new child's raw seeds take c itself
+                    child = self._state(self._child_key(state.key, p), state.seed_beliefs | 1 << c)
                     if child.beliefs & dis_src:
                         add_d |= todo & group
         if self._bprime:
             if self.membership:
-                add_b |= self.every if bel_src & state.seed_disbeliefs else bel_src
+                add_b |= self.every if bel_src & state.key[1] else bel_src
             elif bel_src:
                 # believe c when the set plus D: c comes to disbelieve
                 # something believed
@@ -404,18 +385,13 @@ class _Engine:
                     add_b |= todo & state.own_d
                 rest = todo & ~state.own_d
                 k = state.key[0] if self._canonical_seeds else full
-                links, family, widen = state.children, self.family, full & ~k
-                n = len(self.cu.classes)
+                widen, n = full & ~k, len(self.cu.classes)
                 while rest:
                     c = (rest & -rest).bit_length() - 1
                     p = k & c
                     group = up[p] & down[p | widen]
                     rest &= ~group
-                    key = links.get(n + p)
-                    if key is None:
-                        child = self._link(state, n + p, state.seed_beliefs)
-                    else:
-                        child = family[key]
+                    child = self._state(self._child_key(state.key, n + p), state.seed_beliefs)
                     if child.disbeliefs & bel_src:
                         add_b |= todo & group
 

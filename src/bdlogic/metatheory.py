@@ -75,6 +75,7 @@ from .semantics import (
 )
 from .syntax import (
     InformationSet,
+    Sentence,
     parse_information_set,
     parse_sentence,
     render_sentence,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import typing
 
 import pytest
 
@@ -19,6 +20,20 @@ def test_every_export_resolves_to_its_defining_module(name):
     if inspect.isclass(value) or inspect.isfunction(value):
         assert value.__module__ == module.__name__
     assert name in dir(bdlogic)
+
+
+def test_every_exported_class_and_function_has_resolvable_type_hints():
+    # Verdict's model types are imported only for type checkers, which keeps
+    # numpy off the path of ``bdl check``
+    unresolved = []
+    for name in sorted(set(bdlogic.__all__) - {"__version__", "Verdict"}):
+        value = getattr(bdlogic, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            try:
+                typing.get_type_hints(value)
+            except NameError as error:
+                unresolved.append(f"{name}: {error}")
+    assert unresolved == []
 
 
 def test_an_unknown_name_raises_attribute_error():
