@@ -350,20 +350,16 @@ def _slice_is_stable(
     logics=("wbd", "gbd", "bd"),
 )
 def _oracle_agreement(ctx: _Ctx, logic: LogicId) -> str:
-    def disagrees(cu: ClosureUniverse, gamma: InformationSet) -> bool:
-        bits = _classes_of(gamma, cu.universe)
-        return _slice(logic, cu, bits) != spaces[cu].slices([bits])[0]
+    def agrees(cu: ClosureUniverse, bits: int) -> bool:
+        oracle = _model_space(logic, cu.universe.atoms)
+        return _slice(logic, cu, bits) == oracle.slice(bits)
 
-    drawn = list(ctx.one_then_two_atom_sets(120, 500))
-    spaces = {cu: _model_space(logic, cu.universe.atoms) for cu, _ in drawn}
-    # each universe's sets in one batch, read back in draw order
-    oracle = {
-        cu: iter(space.slices([bits for c, bits in drawn if c is cu]))
-        for cu, space in spaces.items()
-    }
-    for cu, bits in drawn:
+    def disagrees(cu: ClosureUniverse, gamma: InformationSet) -> bool:
+        return not agrees(cu, _classes_of(gamma, cu.universe))
+
+    for cu, bits in ctx.one_then_two_atom_sets(120, 500):
         ctx.check(
-            _slice(logic, cu, bits) == next(oracle[cu]),
+            agrees(cu, bits),
             lambda: f"Γ={_fmt(_shrink(_set_of(cu, bits), lambda g: disagrees(cu, g)))}"
             + (" at 1 atom", " at 2 atoms")[cu.universe.n - 1],
             weight=len(cu.sentences),

@@ -18,24 +18,22 @@ in BD, so information sets with inconsistent beliefs still have models.
 and is the independent oracle the decision procedures are validated
 against.  It knows nothing about the characterizations it checks.  Since a
 belief constrains only ``m`` and a disbelief only the sources, it reduces a
-set of sentences once per axis (a boolean vector over ``m`` and a
-bit-packed row over ``n`` or the families, one bit per source or family in
-``uint64`` words) instead of testing every (m, sources) pair.  Each model
-space packs every class's row once, and ``_ModelSpace.slices`` answers the
-consequence slices of a whole batch of sets in a few array operations, in
-chunks whose largest temporary stays within ``_CHUNK_WORDS`` words; a set
-and its slice are each one int of class sentences, as ``plcore`` encodes
-them.  The space stays family-level: every nonempty family is one bit.
-numpy is imported only when a model space is first built.
+set of sentences once per axis (an int over ``m`` and an int over ``n`` or
+the families, one bit per world set, source or family) instead of testing
+every (m, sources) pair.  Each model space builds every class's two axes
+once, and ``_ModelSpace.slice`` answers the consequence slice of a set in
+one pass over its ``m``; a set and its slice are each one int of class
+sentences, as ``plcore`` encodes them.  The space stays family-level: every
+nonempty family is one bit.  All of it is plain Python ints: no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
 from operator import add, or_
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import Iterator, Union
 
 from .plcore import (
     AtomUniverse,
@@ -51,9 +49,6 @@ from .plcore import (
 from .syntax import Belief, Disbelief, InformationSet, Not, Sentence
 from .verdicts import LogicId, Verdict
 from .verdicts import _require_logic
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ModelWBD",
@@ -159,9 +154,15 @@ def holds_all(model: Model, gamma: InformationSet) -> bool:
 
 _FAMILY_LOGIC_LIMIT = 2  # wbd/bd: 2^(2^(2^n)) families beyond this
 _GBD_LIMIT = 3
-# One ``slices`` chunk's sets-by-classes-by-words temporary stays within
-# this many words (128 KiB): one set's at two atoms for wbd and bd.
-_CHUNK_WORDS = 1 << 14
+
+
+def _subsets(mask: int) -> int:
+    """Every subset of ``mask`` as one int, bit x for each x within it: by
+    doubling, as adding bit i to the subsets without it adds 1 << i."""
+    out = 1
+    for i in members(mask):
+        out |= out << (1 << i)
+    return out
 
 
 class _ModelSpace:
@@ -173,32 +174,25 @@ class _ModelSpace:
     Enumeration order is fixed: ``m`` ascending, then ``inner`` ascending.
 
     A belief constrains only ``m`` and a disbelief only ``inner``, so a set
-    of sentences is a boolean column over ``m`` and a row over ``inner``,
-    and its models are the pairs whose two entries hold.  The row is
-    bit-packed: one bit per ``inner`` value (``inner[bit]`` says which,
-    ``valid`` has the bits that hold one), in little-endian ``uint64`` words.  bd also needs every member within
-    ``m``: family ``f`` fits ``m`` iff ``need[f] & ~m == 0``, ``need[f]``
-    being the union of its members.  So bd lays its families out in groups
-    of equal ``need`` (ascending, bitmask ascending within a group); wbd
-    and gbd have one group.  Each group starts on a word boundary and its
-    last word is padded with zero bits, so which groups a row reaches is
-    one ``bitwise_or.reduceat`` over its words, and which ``m`` it admits
-    is a lookup in the groups-by-``m`` table ``fits``.
+    of sentences is a column over ``m`` (an int, bit m for each world set
+    m) and a row over ``inner`` (an int, bit v for each inner value v;
+    ``valid`` has the bits that are one: gbd's sources 0..S-1, wbd's and
+    bd's nonempty families 1..2^S-1), and its models are the pairs whose
+    two entries hold.  bd also needs every family member within ``m``:
+    ``fits[m]`` holds the inner values that may pair with ``m`` (for wbd
+    and gbd, every valid one), so ``row & fits[m]`` says whether ``m``
+    makes a model and with which values.
 
-    Every class's packed disbelief row (``rows``), its complement
-    (``complements``) and its belief column (``beliefs``, one row of a
-    classes-by-``m`` matrix, and ``outside``, its negation) are built once
+    ``fits`` and every class's disbelief row (``rows``), its complement
+    (``complements``) and its belief column (``beliefs``) are built once
     per space, so a set is the AND of its classes' entries.  A set of class
     sentences comes in as one int (bit c for ``B: c``, bit S + c for
     ``D: c``, as ``plcore._class_sentences`` lists them): ``axes`` reads
-    one, and ``slices`` answers the consequence slices of many at once, a
-    chunk of sets per few array operations.  Rows are unpacked only to
-    decode a model.
+    one, and ``slice`` answers its consequence slice.  ``models`` lists
+    the models of a column and row in enumeration order.
     """
 
     def __init__(self, logic: LogicId, universe: AtomUniverse):
-        import numpy as np
-
         _require_logic(logic)
         if logic in ("wbd", "bd") and universe.n > _FAMILY_LOGIC_LIMIT:
             raise ScaleLimitError(
@@ -214,168 +208,71 @@ class _ModelSpace:
         self.logic = logic
         self.universe = universe
         self.world_sets = s = 1 << universe.world_count  # S, also the class count
-        # world sets, m values and classes; within the scale limits every
-        # world set and family bitmask fits in 16 bits
-        worlds = np.arange(s, dtype=np.uint16)
+        self.every_set = (1 << s) - 1
+        full = universe.full_mask
+        # the world sets within the complement of class c: the sources that
+        # refute it, and the members that make a family refute it
+        good = [_subsets(full & ~c) for c in range(s)]
         if logic == "gbd":
-            values = worlds
+            self.valid = self.every_set
+            self.rows = good
         else:
-            values = np.arange(1, 1 << s, dtype=np.uint16)
+            self.valid = (1 << (1 << s)) - 2
+            # a family refutes c unless all its members lie outside ``good``
+            self.rows = [self.valid & ~_subsets(self.every_set & ~g) for g in good]
         if logic == "bd":
-            # need[f] by doubling: adding world set i to the families below
-            # bit i ORs i into their union
-            need = np.zeros(1 << s, dtype=np.uint16)
-            for i in range(s):
-                need[1 << i : 2 << i] = need[: 1 << i] | np.uint16(i)
-            values = values[np.argsort(need[1:], kind="stable")]
-            need = need[values]
-            first = np.flatnonzero(np.concatenate(([True], need[1:] != need[:-1])))
-            self.fits = (need[first][:, None] & ~worlds[None, :]) == 0
+            # the families of the world sets within m
+            self.fits = [self.valid & _subsets(_subsets(m)) for m in range(s)]
         else:
-            first = np.zeros(1, dtype=np.intp)
-            self.fits = np.ones((1, s), dtype=bool)
-        sizes = np.diff(np.append(first, values.shape[0]))
-        self.group_words = -(-sizes // 64)
-        self.starts = np.concatenate(([0], np.cumsum(self.group_words)[:-1]))
-        self.inner = np.zeros(int(self.group_words.sum()) * 64, dtype=np.uint16)
-        real = np.zeros(self.inner.shape[0], dtype=bool)
-        # group g: values[first[g]:][:sizes[g]] from word starts[g] on
-        for start, head, size in zip(self.starts.tolist(), first.tolist(), sizes.tolist()):
-            self.inner[64 * start : 64 * start + size] = values[head : head + size]
-            real[64 * start : 64 * start + size] = True
-        self.valid = _pack(real)
-        # sets per ``slices`` chunk
-        self.chunk = max(1, _CHUNK_WORDS // (s * self.valid.shape[0]))
-        if logic == "gbd":
-            # the source refutes f: n within the complement of f
-            self.rows = _pack((self.inner[None, :] & worlds[:, None]) == 0)
-        else:
-            # some member within the complement of f: world set i qualifies
-            # iff it misses c.  One class at a time, so no boolean
-            # classes-by-families matrix is built.
-            self.rows = np.empty((s, self.valid.shape[0]), dtype=self.valid.dtype)
-            for c in range(s):
-                good = sum(1 << i for i in range(s) if i & c == 0)
-                self.rows[c] = _pack((self.inner & np.uint16(good)) != 0)
-        self.rows &= self.valid
-        self.complements = ~self.rows
-        self.complements &= self.valid
-        full = np.uint16(universe.full_mask)
-        self.beliefs = (worlds[None, :] & (full & ~worlds)[:, None]) == 0
-        self.outside = ~self.beliefs
-        # set bits per byte value, for ``count``
-        self.ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
+            self.fits = [self.valid] * s
+        self.complements = [self.valid & ~row for row in self.rows]
+        self.beliefs = [_subsets(c) for c in range(s)]
 
-    def axes(self, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """The set of class sentences ``bits`` as (column over ``m``, packed
-        row over ``inner``)."""
+    def axes(self, bits: int) -> tuple[int, int]:
+        """The set of class sentences ``bits`` as (column over ``m``, row
+        over ``inner``)."""
         sb, sd = _halves(bits, self.universe)
-        column = self.beliefs[list(members(sb))].all(axis=0)
-        row = self.valid
-        for mask in members(sd):
-            row = row & self.rows[mask]
+        column, row = self.every_set, self.valid
+        for c in members(sb):
+            column &= self.beliefs[c]
+        for c in members(sd):
+            row &= self.rows[c]
         return column, row
 
-    def admitted(self, rows: np.ndarray) -> np.ndarray:
-        """Over ``m``: does some ``inner`` value of a row make a model with it
-        (one row, or a stack of rows)."""
-        import numpy as np
+    def slice(self, bits: int) -> int:
+        """The entailed slice of the set of class sentences ``bits``, as an
+        int: bit c for ``B: c`` and bit S + c for ``D: c``."""
+        column, row = self.axes(bits)
+        # the m that make a model, and the inner values some model reaches
+        admitted = reached = 0
+        for m in members(column):
+            inner = row & self.fits[m]
+            if inner:
+                admitted |= 1 << m
+                reached |= inner
+        # ``B: c`` holds iff every admitted m lies within c, ``D: c`` iff
+        # every reached value refutes c
+        believed = disbelieved = 0
+        for c in range(self.world_sets):
+            if admitted & ~self.beliefs[c] == 0:
+                believed |= 1 << c
+            if reached & self.complements[c] == 0:
+                disbelieved |= 1 << c
+        return believed | disbelieved << self.world_sets
 
-        return (np.bitwise_or.reduceat(rows, self.starts, axis=-1) != 0) @ self.fits
+    def models(self, column: int, row: int) -> Iterator[Model]:
+        for m in members(column):
+            for inner_value in members(row & self.fits[m]):
+                yield self.decode(m, inner_value)
 
-    def slices(self, sets: Sequence[int]) -> list[int]:
-        """The entailed slice of each set of class sentences, in order; sets
-        and slices are ints, bit c for ``B: c`` and bit S + c for ``D: c``.
-
-        The sets go through in chunks whose sets-by-classes-by-words
-        temporary stays within ``_CHUNK_WORDS``.
-        """
-        out: list[int] = []
-        for at in range(0, len(sets), self.chunk):
-            out += self._chunk(sets[at : at + self.chunk])
-        return out
-
-    def _chunk(self, sets: Sequence[int]) -> list[int]:
-        import numpy as np
-
-        # each set's 2S sentence bits, in whole bytes
-        s, width = self.world_sets, -(-self.world_sets // 4)
-        octets = np.frombuffer(
-            b"".join(bits.to_bytes(width, "little") for bits in sets), dtype=np.uint8
-        )
-        chosen = np.unpackbits(octets, bitorder="little").reshape(len(sets), -1)
-        believes = chosen[:, :s].view(bool)
-        disbelieves = chosen[:, s : 2 * s].view(bool)
-        # per set, the m within every believed class
-        column = ~(believes @ self.outside)
-        # per set, the valid row ANDed with each disbelieved class's row
-        rows = np.repeat(self.valid[None], len(sets), axis=0)
-        for c in members(reduce(or_, sets) >> s):
-            np.bitwise_and(rows, self.rows[c], out=rows, where=disbelieves[:, c, None])
-        # ``B: c`` holds iff every m that makes a model lies within c
-        believed = ~((column & self.admitted(rows)) @ self.outside.T)
-        # ``D: c`` holds iff no group that fits a column m keeps a family once
-        # the families satisfying ``D: c`` are dropped
-        kept = np.bitwise_or.reduceat(
-            rows[:, None, :] & self.complements, self.starts, axis=2
-        ) != 0
-        fit = column @ self.fits.T
-        disbelieved = ~(kept @ fit[:, :, None])[:, :, 0]
-        # bit c for B: c, then bit S + c for D: c, as the class sentences lie
-        packed = np.packbits(
-            np.concatenate((believed, disbelieved), axis=1), axis=1, bitorder="little"
-        )
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    def fitting(self, row: np.ndarray, m: int) -> np.ndarray:
-        """The ``inner`` values of ``row`` that make a model with ``m``."""
-        import numpy as np
-
-        words = np.where(np.repeat(self.fits[:, m], self.group_words), row, 0)
-        octets = words.astype("<u8", copy=False).view(np.uint8)
-        return self.inner[np.unpackbits(octets, bitorder="little").view(bool)]
-
-    def first_model(self, column: np.ndarray, row: np.ndarray) -> Model | None:
-        """The first model of ``(column, row)`` in enumeration order."""
-        import numpy as np
-
-        candidates = column & self.admitted(row)
-        if not candidates.any():
-            return None
-        m = int(np.argmax(candidates))
-        return self.decode(m, int(self.fitting(row, m).min()))
-
-    def models(self, column: np.ndarray, row: np.ndarray) -> Iterator[Model]:
-        import numpy as np
-
-        for m in np.flatnonzero(column):
-            for inner_value in np.sort(self.fitting(row, int(m))):
-                yield self.decode(int(m), int(inner_value))
-
-    def count(self, column: np.ndarray, row: np.ndarray) -> int:
-        import numpy as np
-
-        # families per group: a population count by byte lookup
-        per_byte = self.ones[row.astype("<u8", copy=False).view(np.uint8)]
-        per_group = np.add.reduceat(per_byte, self.starts * 8, dtype=np.int64)
-        return int((per_group @ self.fits)[column].sum())
+    def count(self, column: int, row: int) -> int:
+        return sum((row & self.fits[m]).bit_count() for m in members(column))
 
     def decode(self, m: int, inner_value: int) -> Model:
         if self.logic == "gbd":
             return ModelGBD(m=m, n=inner_value, universe=self.universe)
-        family = frozenset(
-            i for i in range(self.world_sets) if inner_value >> i & 1
-        )
         cls = ModelWBD if self.logic == "wbd" else ModelBD
-        return cls(m=m, family=family, universe=self.universe)
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows (length a multiple of 64) as ``uint64`` words, bit k of
-    word w being entry ``64 * w + k``."""
-    import numpy as np
-
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+        return cls(m=m, family=frozenset(members(inner_value)), universe=self.universe)
 
 
 @lru_cache(maxsize=32)
@@ -402,7 +299,7 @@ def brute_force_entails(
         column = column & ~space.beliefs[mask]
     else:
         row = row & space.complements[mask]
-    witness = space.first_model(column, row)
+    witness = next(space.models(column, row), None)
     if witness is None:
         return Verdict(logic=logic, query=alpha, entailed=True)
     return Verdict(logic=logic, query=alpha, entailed=False, witness=witness)
@@ -415,10 +312,10 @@ def brute_force_consequences(
 
     Same answers as calling ``brute_force_entails`` once per sentence of the
     universe, but ``gamma`` is reduced to its two axes a single time and
-    every class is tested at once: a batch of one for ``_ModelSpace.slices``.
+    every class is tested at once by ``_ModelSpace.slice``.
     """
     space = _model_space(logic, universe.atoms)
-    return _sentences_of(space.slices([_classes_of(gamma, universe)])[0], universe)
+    return _sentences_of(space.slice(_classes_of(gamma, universe)), universe)
 
 
 def enumerate_models(

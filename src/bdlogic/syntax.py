@@ -75,7 +75,8 @@ class Atom(_FormulaNode):
     name: str
 
     def __post_init__(self) -> None:
-        if not _ATOM_RE.match(self.name):
+        # ``true`` and ``false`` would render as the constants
+        if not _ATOM_RE.match(self.name) or self.name in ("true", "false"):
             raise ValueError(f"invalid atom name: {self.name!r}")
 
 

@@ -7,6 +7,8 @@ from typing import TYPE_CHECKING, Literal, Optional, Union
 
 from .syntax import Formula, Sentence, render_formula, render_sentence
 
+# typing only: importing the model oracle here would load it on the path of
+# ``bdl check``
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .semantics import ModelBD, ModelGBD, ModelWBD
 

@@ -24,7 +24,7 @@ def test_every_export_resolves_to_its_defining_module(name):
 
 def test_every_exported_class_and_function_has_resolvable_type_hints():
     # Verdict's model types are imported only for type checkers, which keeps
-    # numpy off the path of ``bdl check``
+    # the model oracle off the path of ``bdl check``
     unresolved = []
     for name in sorted(set(bdlogic.__all__) - {"__version__", "Verdict"}):
         value = getattr(bdlogic, name)

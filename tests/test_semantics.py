@@ -42,7 +42,6 @@ from bdlogic import (
     satisfies,
 )
 
-from bdlogic import semantics
 from bdlogic.plcore import _class_sentences, _classes_of, members
 from bdlogic.semantics import _model_space
 from conftest import information_sets, sentences
@@ -366,56 +365,13 @@ class TestOracleAgainstDefinitions:
         assert brute_force_consequences(logic, gamma, universe) == expected
 
 
-def expected_groups(logic, universe):
-    """The oracle's ``inner`` values in layout order, group by group.
-
-    gbd: the sources ascending; wbd: the families' bitmasks ascending; bd:
-    the families grouped by the union of their members (groups by union
-    ascending, bitmasks ascending within one).
-    """
-    world_sets = 1 << universe.world_count
-    if logic == "gbd":
-        return [list(range(world_sets))]
-    if logic == "wbd":
-        return [list(range(1, 1 << world_sets))]
-    union = [0] * (1 << world_sets)
-    groups: dict[int, list[int]] = {}
-    for family in range(1, 1 << world_sets):
-        low = family & -family
-        union[family] = union[family ^ low] | (low.bit_length() - 1)
-        groups.setdefault(union[family], []).append(family)
-    return [groups[u] for u in sorted(groups)]
+def bits_of(flags, first=0):
+    """A boolean vector as one int, bit ``first + k`` being entry k."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little") << first
 
 
-def expected_layout(logic, universe):
-    """(``inner`` value, is a real entry) per bit: each group starts on a
-    64-bit word boundary and is padded to a whole word."""
-    placed = []
-    start = 0
-    for group in expected_groups(logic, universe):
-        placed.append((start, group))
-        start += -(-len(group) // 64) * 64
-    values = np.zeros(start, dtype=np.int64)
-    real = np.zeros(start, dtype=bool)
-    for start, group in placed:
-        values[start : start + len(group)] = group
-        real[start : start + len(group)] = True
-    return values, real
-
-
-def as_int(words):
-    """A packed row as one int, bit k being entry k (little-endian words)."""
-    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
-
-
-def flags_int(flags):
-    """A boolean vector as one int, bit k being entry k."""
-    digits = (np.asarray(flags, dtype=np.uint8)[::-1] + ord("0")).tobytes()
-    return int(digits, 2) if digits else 0
-
-
-PACKED_SPACES = [(logic, u) for u in (U1, U2) for logic in LOGICS] + [("gbd", U3)]
-PACKED_IDS = [f"{logic}-{u.n}" for logic, u in PACKED_SPACES]
+SPACES = [(logic, u) for u in (U1, U2) for logic in LOGICS] + [("gbd", U3)]
+SPACE_IDS = [f"{logic}-{u.n}" for logic, u in SPACES]
 
 
 def edge_sets(universe):
@@ -429,35 +385,41 @@ def edge_sets(universe):
     }
 
 
-class TestPackedLayout:
-    """The model space's bit-packed rows against the definitions."""
+class TestIntRows:
+    """The model space's int rows and columns against the definitions."""
 
-    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
-    def test_groups_start_on_words_and_padding_is_zero(self, logic, universe):
+    @pytest.mark.parametrize(("logic", "universe"), SPACES, ids=SPACE_IDS)
+    def test_valid_holds_the_inner_values_and_every_row_lies_within_it(
+        self, logic, universe
+    ):
         space = _model_space(logic, universe.atoms)
-        values, real = expected_layout(logic, universe)
-        assert space.inner.shape == values.shape
-        assert (space.inner[real] == values[real]).all()
-        assert as_int(space.valid) == flags_int(real)
-        padding = flags_int(~real)
-        stored = [space.valid, *space.rows, *space.complements]
-        assert all(as_int(row) & padding == 0 for row in stored)
+        world_sets = 1 << universe.world_count
+        if logic == "gbd":
+            # the sources 0..S-1
+            assert space.valid == (1 << world_sets) - 1
+        else:
+            # the nonempty families 1..2^S-1
+            assert space.valid == (1 << (1 << world_sets)) - 2
+        stored = [*space.rows, *space.complements, *space.fits]
+        assert len(stored) == 3 * world_sets
+        assert all(row & ~space.valid == 0 for row in stored)
 
-    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
-    def test_each_class_row_unpacks_to_its_definition(self, logic, universe):
+    @pytest.mark.parametrize(("logic", "universe"), SPACES, ids=SPACE_IDS)
+    def test_each_class_row_is_its_definition(self, logic, universe):
         space = _model_space(logic, universe.atoms)
         reference = ReferenceGrid(logic, universe)
-        values, real = expected_layout(logic, universe)
-        # column of the reference grid for each bit (padding reads column 0)
-        column = np.where(real, values - (0 if logic == "gbd" else 1), 0)
+        # bit v of a row is the reference grid's column v - first
+        first = 0 if logic == "gbd" else 1
         for c in range(universe.full_mask + 1):
             rep = formula_for_class(c, universe)
-            holds = real & reference.sat(Disbelief(rep))[0][column]
-            assert as_int(space.rows[c]) == flags_int(holds)
-            assert as_int(space.complements[c]) == flags_int(real & ~holds)
-            assert (space.beliefs[c] == reference.sat(Belief(rep))[:, 0]).all()
+            holds = reference.sat(Disbelief(rep))[0]
+            assert space.rows[c] == bits_of(holds, first)
+            assert space.complements[c] == bits_of(~holds, first)
+            assert space.beliefs[c] == bits_of(reference.sat(Belief(rep))[:, 0])
+        for m in range(space.world_sets):
+            assert space.fits[m] == bits_of(reference.valid[m], first)
 
-    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    @pytest.mark.parametrize(("logic", "universe"), SPACES, ids=SPACE_IDS)
     def test_edge_sets_match_the_full_grid(self, logic, universe):
         reference = ReferenceGrid(logic, universe)
         queries = class_sentences(universe)
@@ -488,34 +450,18 @@ def random_class_sets(universe, count, seed):
     ]
 
 
-class TestBatchedSlices:
-    """``_ModelSpace.slices`` answers a batch of sets as it answers each alone."""
+class TestSlices:
+    """``_ModelSpace.slice`` answers a set as the oracle and the grid do."""
 
-    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
-    def test_a_batch_answers_as_its_sets_one_at_a_time(self, logic, universe):
-        space = _model_space(logic, universe.atoms)
-        step = space.chunk
-        # as many sets as the word budget holds, and at least one
-        words = space.world_sets * space.valid.shape[0]
-        assert step == 1 or step * words <= semantics._CHUNK_WORDS
-        assert (step + 1) * words > semantics._CHUNK_WORDS
-        sets = random_class_sets(universe, 3 * step + 2, seed=universe.n)
-        alone = {bits: space.slices([bits])[0] for bits in set(sets)}
-        # empty, one set, one chunk, one chunk and one more, several chunks
-        for length in (0, 1, step, step + 1, 3 * step + 2):
-            batch = sets[:length]
-            got = space.slices(batch)
-            assert got == [alone[bits] for bits in batch], length
-            assert space.slices(batch[::-1]) == got[::-1], length
-
-    @pytest.mark.parametrize(("logic", "universe"), PACKED_SPACES, ids=PACKED_IDS)
+    @pytest.mark.parametrize(("logic", "universe"), SPACES, ids=SPACE_IDS)
     def test_each_bit_is_the_entailment_oracle_and_the_full_grid(self, logic, universe):
         space = _model_space(logic, universe.atoms)
         table = _class_sentences(universe.atoms)
         reference = ReferenceGrid(logic, universe)
         sets = [_classes_of(g, universe) for g in edge_sets(universe).values()]
         sets += random_class_sets(universe, 4, seed=10 + universe.n)
-        for bits, got in zip(sets, space.slices(sets)):
+        for bits in sets:
+            got = space.slice(bits)
             gamma = InformationSet(frozenset(table[i] for i in members(bits)))
             grid = reference.models(gamma)
             for i, alpha in enumerate(table):

@@ -92,7 +92,7 @@ class TestParseFormula:
         with pytest.raises(ParseError):
             parse_formula(text)
 
-    @pytest.mark.parametrize("name", ["P", "1p", "", "p-q"])
+    @pytest.mark.parametrize("name", ["P", "1p", "", "p-q", "true", "false"])
     def test_atom_names_are_checked(self, name):
         with pytest.raises(ValueError, match="invalid atom name"):
             Atom(name)
