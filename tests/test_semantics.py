@@ -469,6 +469,21 @@ class TestSlices:
                 assert entailed == (not (grid & ~reference.sat(alpha)).any())
                 assert bool(got >> i & 1) == entailed, (bits, alpha)
 
+    @pytest.mark.parametrize(("logic", "universe"), SPACES, ids=SPACE_IDS)
+    def test_count_and_models_read_the_full_grid(self, logic, universe):
+        # ``count`` and ``models`` read the same ``row & fits[m]`` as
+        # ``slice``: as many models as the grid has, listed in its order
+        space = _model_space(logic, universe.atoms)
+        table = _class_sentences(universe.atoms)
+        reference = ReferenceGrid(logic, universe)
+        for bits in random_class_sets(universe, 12, seed=20 + universe.n):
+            column, row = space.axes(bits)
+            gamma = InformationSet(frozenset(table[i] for i in members(bits)))
+            cells = np.flatnonzero(reference.models(gamma).reshape(-1))
+            assert space.count(column, row) == len(cells), bits
+            listed = itertools.islice(space.models(column, row), 100)
+            assert list(listed) == [reference.decode(i) for i in cells[:100]], bits
+
 
 class TestCountermodelConstruction:
     @pytest.mark.parametrize("logic", LOGICS)
