@@ -263,10 +263,10 @@ def _cmd_consequences(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    from .closure import RULE_SETS, ClosureUniverse, close
+    from .closure import _ATOM_LIMIT, RULE_SETS, ClosureUniverse, close
 
     gamma, source = _load_gamma(args.file)
-    universe = _universe_for_gamma(gamma, args.atoms, 2)
+    universe = _universe_for_gamma(gamma, args.atoms, _ATOM_LIMIT)
     rules = RULE_SETS[args.logic]
     closed = close(rules, args.reading, gamma, ClosureUniverse(universe))
     target = consequences(args.logic, gamma, universe)

@@ -51,7 +51,6 @@ none goes through a generator.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, get_args
@@ -62,6 +61,7 @@ from .plcore import (
     _classes_of,
     _halves,
     _sentences_of,
+    _subsets,
 )
 from .syntax import InformationSet, Sentence
 from .verdicts import LogicId
@@ -107,6 +107,9 @@ class ClosureScaleError(ValueError):
     """The closure universe or the reachable set family is too large."""
 
 
+_ATOM_LIMIT = 2  # the most atoms of a closure universe, and of ``bdl closure``
+
+
 class ClosureUniverse:
     """All semantic classes of a 1- or 2-atom universe, with representatives.
 
@@ -118,16 +121,15 @@ class ClosureUniverse:
     __slots__ = ("universe", "classes", "sentences", "up", "down", "columns")
 
     def __init__(self, universe: AtomUniverse):
-        if universe.n not in (1, 2):
+        if not 1 <= universe.n <= _ATOM_LIMIT:
             raise ClosureScaleError(
-                f"closure universes support 1 or 2 atoms, got {universe.n}"
+                f"closure universes support 1 or {_ATOM_LIMIT} atoms, got {universe.n}"
             )
         self.universe = universe
         self.classes = tuple(range(universe.full_mask + 1))
         # the belief in class c, then the disbelief in class c at len(classes) + c
         self.sentences = _class_sentences(universe.atoms)
-        self.up, self.down = _subset_tables(universe.n)
-        self.columns = _world_columns(universe.n)
+        self.up, self.down, self.columns = _lattice(universe.n)
 
     def sentence(self, kind_belief: bool, mask: int) -> Sentence:
         return self.sentences[mask if kind_belief else len(self.classes) + mask]
@@ -137,27 +139,17 @@ class ClosureUniverse:
 
 
 @functools.cache
-def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``up`` and ``down`` over ``n`` atoms, by enumerating class inclusion."""
-    classes = range(1 << (1 << n))
-    up = tuple(_union(1 << c for c in classes if x & ~c == 0) for x in classes)
-    down = tuple(_union(1 << c for c in classes if c & ~x == 0) for x in classes)
-    return up, down
-
-
-@functools.cache
-def _world_columns(n: int) -> tuple[tuple[int, int], ...]:
-    """Per world of ``n`` atoms: its bit, and the set of classes that lack it."""
-    classes = range(1 << (1 << n))
-    return tuple(
-        (1 << w, _union(1 << c for c in classes if not c >> w & 1))
-        for w in range(1 << n)
-    )
-
-
-def _union(sets: Iterable[int]) -> int:
-    """OR of the given ints: a union of sets of classes, or of model sets."""
-    return functools.reduce(operator.or_, sets, 0)
+def _lattice(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """``up``, ``down`` and ``columns`` over ``n`` atoms by subset doubling:
+    ``down[x]`` holds the subsets of ``x``, ``up[x]`` is ``x`` plus each subset
+    of its complement, and the classes lacking world w lie in all the others."""
+    full = (1 << (1 << n)) - 1
+    down = tuple(map(_subsets, range(full + 1)))
+    up = tuple(_subsets(full & ~x) << x for x in range(full + 1))
+    columns = tuple((1 << w, down[full & ~(1 << w)]) for w in range(1 << n))
+    return up, down, columns
 
 
 def build_universe(n: int, atoms: Iterable[str] | None = None) -> ClosureUniverse:

@@ -35,7 +35,7 @@ own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterator, Optional
 
@@ -43,6 +43,7 @@ from .plcore import (
     AtomUniverse,
     _classes_of,
     _halves,
+    _lanes,
     _sentences_of,
     conjunction_mask,
     members,
@@ -350,13 +351,6 @@ def _report(
 
 # ---------------------------------------------------------------------------
 # Finite consequence slices
-
-
-@lru_cache(maxsize=8)
-def _lanes(world_count: int) -> tuple[int, ...]:
-    """Lane i: the classes that hold world i (atom masks, one atom per world)."""
-    lanes = AtomUniverse(map(str, range(world_count)))
-    return tuple(map(lanes.atom_mask, lanes.atoms))
 
 
 def _slice_masks(logic: LogicId, compiled: _Compiled) -> int:

@@ -8,7 +8,7 @@ set — its *semantic class* — is a single int and entailment is a subset test
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .syntax import (
@@ -25,6 +25,7 @@ from .syntax import (
     Or,
     Sentence,
     Top,
+    _check_atom_name,
     atoms_of,
 )
 
@@ -53,6 +54,29 @@ class AtomLimitError(ValueError):
     """Raised when a universe would exceed MAX_ATOMS atoms."""
 
 
+@cache
+def _lanes(k: int) -> tuple[int, ...]:
+    """Mask i over 2^k positions has bit v set iff bit i of v is: the atoms'
+    world sets of a k-atom universe, or over classes of k worlds, the classes
+    holding world i.  Each doubling of the positions copies every mask up and
+    adds the next.  Callers keep k <= MAX_ATOMS: at most 17 tables."""
+    lanes: list[int] = []
+    for i in range(k):
+        half = 1 << i
+        lanes = [lane | lane << half for lane in lanes]
+        lanes.append(((1 << half) - 1) << half)
+    return tuple(lanes)
+
+
+def _subsets(mask: int) -> int:
+    """Every subset of ``mask`` as one int, bit x for each x within it: by
+    doubling, as adding bit i to the subsets without it adds 1 << i."""
+    out = 1
+    for i in members(mask):
+        out |= out << (1 << i)
+    return out
+
+
 class AtomUniverse:
     """An ordered atom universe with precomputed per-atom world masks."""
 
@@ -64,23 +88,14 @@ class AtomUniverse:
             raise AtomLimitError(
                 f"universe has {len(ordered)} atoms; the limit is {MAX_ATOMS}"
             )
+        for name in ordered:
+            _check_atom_name(name)
         self.atoms = ordered
         self.n = len(ordered)
         self.world_count = 1 << self.n
         self.full_mask = (1 << self.world_count) - 1
         self._index = {name: k for k, name in enumerate(ordered)}
-        self._atom_masks = tuple(self._build_mask(k) for k in range(self.n))
-
-    def _build_mask(self, k: int) -> int:
-        # valuations with bit k set: one block of 2^k ones above 2^k zeros,
-        # then the pattern doubled n - k - 1 times (not one OR per block)
-        step = 1 << k
-        mask = ((1 << step) - 1) << step
-        width = 2 * step
-        while width < self.world_count:
-            mask |= mask << width
-            width *= 2
-        return mask
+        self._atom_masks = _lanes(self.n)
 
     def atom_mask(self, name: str) -> WorldSet:
         try:

@@ -41,6 +41,7 @@ from .plcore import (
     _classes_of,
     _halves,
     _sentences_of,
+    _subsets,
     conjunction_mask,
     members,
     models_of,
@@ -154,15 +155,6 @@ def holds_all(model: Model, gamma: InformationSet) -> bool:
 
 _FAMILY_LOGIC_LIMIT = 2  # wbd/bd: 2^(2^(2^n)) families beyond this
 _GBD_LIMIT = 3
-
-
-def _subsets(mask: int) -> int:
-    """Every subset of ``mask`` as one int, bit x for each x within it: by
-    doubling, as adding bit i to the subsets without it adds 1 << i."""
-    out = 1
-    for i in members(mask):
-        out |= out << (1 << i)
-    return out
 
 
 class _ModelSpace:

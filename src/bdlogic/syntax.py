@@ -59,6 +59,13 @@ __all__ = [
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
+def _check_atom_name(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` names an ``Atom`` or ``AtomUniverse``."""
+    # ``true`` and ``false`` would render as the constants
+    if not _ATOM_RE.match(name) or name in ("true", "false"):
+        raise ValueError(f"invalid atom name: {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -75,9 +82,7 @@ class Atom(_FormulaNode):
     name: str
 
     def __post_init__(self) -> None:
-        # ``true`` and ``false`` would render as the constants
-        if not _ATOM_RE.match(self.name) or self.name in ("true", "false"):
-            raise ValueError(f"invalid atom name: {self.name!r}")
+        _check_atom_name(self.name)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import hashlib
 import importlib.util
 import random
 import sys
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,33 @@ class TestUniverse:
     def test_atom_names_read_once_from_an_iterator(self):
         cu = build_universe(2, atoms=iter(("a", "b")))
         assert cu.universe.atoms == ("a", "b")
+
+
+def _union(sets) -> int:
+    """OR of the given ints: a union of sets of classes."""
+    return reduce(or_, sets, 0)
+
+
+def _enumerated_lattice(n: int):
+    """``up``, ``down`` and ``columns`` over ``n`` atoms by their definitions:
+    every pair of classes tested for inclusion."""
+    classes = range(1 << (1 << n))
+    up = tuple(_union(1 << c for c in classes if x & ~c == 0) for x in classes)
+    down = tuple(_union(1 << c for c in classes if c & ~x == 0) for x in classes)
+    columns = tuple(
+        (1 << w, _union(1 << c for c in classes if not c >> w & 1)) for w in range(1 << n)
+    )
+    return up, down, columns
+
+
+class TestLattice:
+    def test_universe_tables_match_the_enumeration(self, cu1, cu2):
+        for n, cu in ((1, cu1), (2, cu2)):
+            assert (cu.up, cu.down, cu.columns) == _enumerated_lattice(n)
+
+    def test_three_atom_tables_match_the_enumeration(self):
+        # ClosureUniverse refuses three atoms, so the builder is read directly
+        assert closure_mod._lattice(3) == _enumerated_lattice(3)
 
 
 class TestRuleSets:
@@ -484,20 +513,19 @@ class _RoundRobinEngine(closure_mod._Engine):
     def _apply(self, state) -> bool:
         self.applied += 1
         rules, full, up, down = self.rules, self.full, self.cu.up, self.cu.down
-        union = closure_mod._union
         bel_src = state.seed_beliefs if self.membership else state.beliefs
         dis_src = state.seed_disbeliefs if self.membership else state.disbeliefs
         conj = self._conj(bel_src)
         add_b = up[conj] if Rule.B in rules else 0
         add_d = 1 if Rule.DBot in rules else 0
         if Rule.WD in rules:
-            add_d |= union(down[psi] for psi in members(dis_src))
+            add_d |= _union(down[psi] for psi in members(dis_src))
         if Rule.GD in rules:
-            add_d |= down[union(members(dis_src))]
+            add_d |= down[_union(members(dis_src))]
         if Rule.D in rules:
-            add_d |= union(down[psi | full & ~conj] for psi in members(dis_src))
+            add_d |= _union(down[psi | full & ~conj] for psi in members(dis_src))
         if Rule.DtoB in rules:
-            add_b |= union(1 << (full & ~psi) for psi in members(dis_src))
+            add_b |= _union(1 << (full & ~psi) for psi in members(dis_src))
         if Rule.DPrime in rules:
             if self.membership:
                 add_d |= self.every if dis_src & state.seed_beliefs else dis_src
@@ -529,10 +557,10 @@ class _CountingEngine(closure_mod._Engine):
 
 
 def _seed_masks(gamma, cu) -> tuple[int, int]:
-    u, union = cu.universe, closure_mod._union
+    u = cu.universe
     return (
-        union(1 << models_of(b, u) for b in gamma.belief_bodies),
-        union(1 << models_of(b, u) for b in gamma.disbelief_bodies),
+        _union(1 << models_of(b, u) for b in gamma.belief_bodies),
+        _union(1 << models_of(b, u) for b in gamma.disbelief_bodies),
     )
 
 

@@ -91,6 +91,19 @@ def test_the_closure_engine_imports_no_procedure_it_checks():
     assert not imported & {"bdlogic", "decision", "semantics", "metatheory", "cli"}
 
 
+def test_the_slice_and_its_checkers_build_the_lattice_two_ways():
+    # the decision slice shifts along plcore's lanes; the closure tables and
+    # the model oracle are plcore's subset doublings
+    def plcore_names(module):
+        return {n for m, names, _ in bdlogic_imports(module) if m == "plcore" for n in names}
+
+    assert "_lanes" in plcore_names("decision")
+    assert "_subsets" not in plcore_names("decision")
+    for checker in ("closure", "semantics"):
+        assert "_subsets" in plcore_names(checker)
+        assert "_lanes" not in plcore_names(checker)
+
+
 def test_the_package_imports_no_module_until_a_name_is_read():
     assert [i for i in bdlogic_imports("__init__") if not i[2]] == []
 

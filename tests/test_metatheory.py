@@ -8,6 +8,9 @@ import json
 import operator
 import random
 
+import re
+from pathlib import Path
+
 import pytest
 
 from bdlogic import metatheory, readings_agree
@@ -299,3 +302,34 @@ def test_slice_and_report_match_the_formula_level_entry_points(cu1, cu2):
             got = _report(logic, _class_record(bits, cu.universe))
             want_flags = flags(inconsistency_report(logic, gamma))
             assert flags(got) == want_flags, (logic, gamma)
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def _workflow_digests() -> list[tuple[str, int, str]]:
+    """(digest, seed, scale) for each ``meta --json`` report the CI workflow
+    checks by sha256: the quick reports of seeds 0-4 and the full report of
+    seed 0."""
+    found = re.findall(
+        r"([0-9a-f]{64})  meta-(?:quick-(\d+)|(full))\.json",
+        WORKFLOW.read_text(encoding="utf-8"),
+    )
+    return [(d, int(seed or 0), "full" if full else "quick") for d, seed, full in found]
+
+
+def test_the_workflow_lists_six_report_digests():
+    assert sorted((seed, scale) for _, seed, scale in _workflow_digests()) == [
+        (0, "full"), (0, "quick"), (1, "quick"), (2, "quick"), (3, "quick"), (4, "quick")
+    ]
+
+
+@pytest.mark.parametrize(
+    "digest, seed, scale",
+    _workflow_digests(),
+    ids=[f"{scale}-{seed}" for _, seed, scale in _workflow_digests()],
+)
+def test_reports_match_the_workflow_digests(digest, seed, scale):
+    # what ``bdl meta --seed S --scale X --json`` prints
+    blob = run_suite(seed=seed, scale=scale).to_json() + "\n"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -76,6 +76,18 @@ class TestAtomUniverse:
         u = AtomUniverse([f"a{i:02d}" for i in range(MAX_ATOMS)])
         assert u.world_count == 2**MAX_ATOMS
 
+    @pytest.mark.parametrize("name", ["true", "false", "P", "1"])
+    def test_rejects_the_names_an_atom_rejects(self, name):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Atom(name)
+        with pytest.raises(ValueError, match="invalid atom name"):
+            AtomUniverse(["p", name])
+
+    def test_the_atom_limit_is_checked_before_the_names(self):
+        names = [f"A{i}" for i in range(MAX_ATOMS + 1)]
+        with pytest.raises(AtomLimitError, match="universe has 17 atoms; the limit is 16"):
+            AtomUniverse(names)
+
     @pytest.mark.parametrize("n", range(MAX_ATOMS + 1))
     def test_atom_masks_match_the_valuations(self, n):
         # independent of how the masks are built: bit v is set iff
@@ -85,6 +97,30 @@ class TestAtomUniverse:
         for name in u.atoms:
             bits = "".join("1" if val[name] else "0" for val in reversed(valuations))
             assert u.atom_mask(name) == int(bits, 2)
+
+
+class TestLattice:
+    """The two primitives every mask of the class lattice is built from,
+    against their definitions."""
+
+    @pytest.mark.parametrize("k", range(MAX_ATOMS + 1))
+    def test_lane_i_holds_the_positions_with_bit_i(self, k):
+        lanes = plcore._lanes(k)
+        assert len(lanes) == k
+        for i, lane in enumerate(lanes):
+            # bin() reads the lane most significant bit first
+            want = "".join("1" if v >> i & 1 else "0" for v in reversed(range(1 << k)))
+            assert bin(lane)[2:].zfill(1 << k) == want
+
+    def test_lanes_are_built_once_per_size(self):
+        assert plcore._lanes(3) is plcore._lanes(3)
+        assert AtomUniverse(["p", "q"])._atom_masks is AtomUniverse(["a", "b"])._atom_masks
+
+    def test_subsets_are_the_ints_within_the_mask(self):
+        # every class of three atoms, and one sparse mask over 16 worlds
+        for mask in [*range(256), 0b1010_0000_0110_0001]:
+            want = sum(1 << x for x in range(mask + 1) if x & ~mask == 0)
+            assert plcore._subsets(mask) == want, mask
 
 
 class TestModelsOf:
