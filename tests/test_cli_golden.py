@@ -9,8 +9,9 @@ pinned countermodels (256 valuations each), in both formats under ``all``
 and ``bd``.  The small documents of ``SLICES`` are run
 through ``consequences`` (every logic) and ``closure`` (every logic and
 reading), each with and without the ``--atoms`` padding listed, once with
-``--json`` and once as text; ``meta``
-runs once, at seed 0 and quick scale.  Each run's exit code and the
+``--json`` and once as text; ``examples`` runs every fixture, and the
+lottery once more with 8 tickets, in both formats; ``meta`` runs once, at
+seed 0 and quick scale.  Each run's exit code and the
 SHA-256 of its stdout are pinned in ``cli_golden.json``, so a refactor
 that changes one output byte fails here.  Re-record with
 ``python tests/test_cli_golden.py`` only for an intended change of output.
@@ -69,6 +70,11 @@ SLICES = {
     "coupled": ("B: p -> q\nD: q\nD: q & !p\nD: p & !q", [["--atoms", "2"]]),
 }
 READINGS = ("membership", "derivability")
+EXAMPLES_CASES = {
+    " ".join(["examples", name, *extra]) + suffix: ["examples", name, *extra, *tail]
+    for name, extra in [*((name, []) for name in sorted(FIXTURES)), ("lottery", ["--tickets", "8"])]
+    for tail, suffix in FORMATS.values()
+}
 META_CASE = "meta seed 0 quick"
 META_ARGV = ["meta", "--seed", "0", "--scale", "quick", "--json"]
 
@@ -165,6 +171,11 @@ def test_slice_text_output_is_byte_identical(name, command, tmp_path, monkeypatc
     assert got == _pinned(_cases(name, command, "text"))
 
 
+def test_examples_output_is_byte_identical():
+    got = {case: _run(argv) for case, argv in EXAMPLES_CASES.items()}
+    assert got == _pinned(EXAMPLES_CASES)
+
+
 def test_meta_json_output_is_byte_identical():
     assert {META_CASE: _run(META_ARGV)} == _pinned([META_CASE])
 
@@ -224,6 +235,7 @@ def _record() -> None:
                 for command in ("consequences", "closure"):
                     for fmt in FORMATS:
                         golden.update(_run_all(name, command, Path(tmp), fmt))
+            golden.update((case, _run(argv)) for case, argv in EXAMPLES_CASES.items())
             golden[META_CASE] = _run(META_ARGV)
         finally:
             os.chdir(cwd)
