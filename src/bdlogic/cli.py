@@ -12,9 +12,11 @@ Six subcommands over `.bdl` documents::
 Exit codes: 0 when the asked-for property holds (entailed / consistent /
 all checks pass), 1 when it does not, 2 on input errors or scale guards
 (including input nested too deeply to process).
-JSON payloads all carry ``"schema": 1`` and are emitted with sorted keys,
-two-space indent and ``\\uXXXX`` escapes: the bytes of
-``json.dumps(payload, indent=2, sort_keys=True)``.
+Every JSON payload but ``meta``'s, which is the report itself, is one
+envelope: ``schema`` (1), ``command``, ``logic`` (``"all"`` for ``examples``)
+and ``input`` (``source``, ``sentences``), plus the command's own fields.
+It is emitted with sorted keys, two-space indent and ``\\uXXXX`` escapes:
+the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -57,14 +59,17 @@ class _InputError(ValueError):
 
 def _read_document(path: str) -> tuple[str, str]:
     """The document's text, without one leading byte-order mark."""
-    if path == "-":
-        text, source = sys.stdin.read(), "<stdin>"
-    else:
-        try:
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
-                text, source = fh.read(), path
-        except OSError as exc:
-            raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {source}: {exc}") from exc
+    except OSError as exc:
+        raise _InputError(f"cannot read {source}: {exc.strerror or exc}") from exc
     return text.removeprefix("\ufeff"), source
 
 
@@ -118,20 +123,16 @@ def _universe_for_gamma(
     return AtomUniverse(names)
 
 
-def _in_order(universe: AtomUniverse, chosen: frozenset) -> list:
-    """``chosen`` in class-sentence order: beliefs, then disbeliefs, by class."""
-    return [s for s in _class_sentences(universe.atoms) if s in chosen]
+def _in_order(universe: AtomUniverse, chosen: frozenset) -> list[str]:
+    """``chosen`` rendered in class-sentence order: beliefs, then disbeliefs."""
+    return [render_sentence(s) for s in _class_sentences(universe.atoms) if s in chosen]
 
 
-def _input_block(gamma: InformationSet, source: str) -> dict:
-    return {
-        "source": source,
-        "sentences": [render_sentence(s) for s in gamma],
-    }
-
-
-def _emit(payload: dict) -> None:
-    print(dumps(payload))
+def _emit(args: argparse.Namespace, gamma: InformationSet, source: str, **body) -> None:
+    """Print ``body`` in the envelope every JSON payload but ``meta``'s shares."""
+    head = {"schema": _SCHEMA, "command": args.command, "logic": args.logic}
+    block = {"source": source, "sentences": [render_sentence(s) for s in gamma]}
+    print(dumps({**head, "input": block, **body}))
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +150,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
     ]
     if any(v.witness is not None for v in verdicts):
         from .semantics import model_to_dict, render_model
+    rendered = render_sentence(query)
     if args.json:
-        payload: dict = {
-            "schema": _SCHEMA,
-            "command": "check",
-            "logic": args.logic,
-            "input": _input_block(gamma, source),
-            "query": render_sentence(query),
-            "verdicts": [
-                {
-                    "logic": v.logic,
-                    "entailed": v.entailed,
-                    "rationale": v.rationale.render() if v.rationale else None,
-                }
-                for v in verdicts
-            ],
-        }
+        entries = [
+            {
+                "logic": v.logic,
+                "entailed": v.entailed,
+                "rationale": v.rationale.render() if v.rationale else None,
+            }
+            for v in verdicts
+        ]
+        for entry, v in zip(entries, verdicts):
+            if v.witness is not None:
+                entry["countermodel"] = model_to_dict(v.witness)
+        body = {"query": rendered, "verdicts": entries}
         if len(logics) == 1:
-            v = verdicts[0]
-            payload["countermodel"] = (
-                model_to_dict(v.witness) if v.witness is not None else None
-            )
-        else:
-            for entry, v in zip(payload["verdicts"], verdicts):
-                if v.witness is not None:
-                    entry["countermodel"] = model_to_dict(v.witness)
-        _emit(payload)
+            # one logic: its countermodel, or null, sits beside the verdict
+            body["countermodel"] = entries[0].pop("countermodel", None)
+        _emit(args, gamma, source, **body)
     else:
-        print(f"query: {render_sentence(query)}")
+        print(f"query: {rendered}")
         for v in verdicts:
             print(v.render())
             if v.witness is not None:
@@ -191,28 +184,22 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     universe = universe_for(gamma)
     reports = [inconsistency_report(lg, gamma, universe) for lg in logics]
     if args.json:
-        payload = {
-            "schema": _SCHEMA,
-            "command": "consistency",
-            "logic": args.logic,
-            "input": _input_block(gamma, source),
-            "report": {
-                r.logic: {
-                    "b_inconsistent": r.b_inconsistent,
-                    "d_inconsistent": r.d_inconsistent,
-                    "d_inconsistent_literal": r.d_inconsistent_literal,
-                    "combined_inconsistent": r.combined_inconsistent,
-                    "fully_consistent": r.fully_consistent(),
-                    "witness": (
-                        render_formula(r.witness_formula)
-                        if r.witness_formula is not None
-                        else None
-                    ),
-                }
-                for r in reports
-            },
+        report = {
+            r.logic: {
+                "b_inconsistent": r.b_inconsistent,
+                "d_inconsistent": r.d_inconsistent,
+                "d_inconsistent_literal": r.d_inconsistent_literal,
+                "combined_inconsistent": r.combined_inconsistent,
+                "fully_consistent": r.fully_consistent(),
+                "witness": (
+                    render_formula(r.witness_formula)
+                    if r.witness_formula is not None
+                    else None
+                ),
+            }
+            for r in reports
         }
-        _emit(payload)
+        _emit(args, gamma, source, report=report)
     else:
         for r in reports:
             if r.fully_consistent():
@@ -240,25 +227,15 @@ def _cmd_consequences(args: argparse.Namespace) -> int:
     target = consequences(args.logic, gamma, universe)
     entailed = _in_order(universe, target)
     if args.json:
-        _emit(
-            {
-                "schema": _SCHEMA,
-                "command": "consequences",
-                "logic": args.logic,
-                "input": _input_block(gamma, source),
-                "report": {
-                    "universe": list(universe.atoms),
-                    "entailed": [render_sentence(s) for s in entailed],
-                },
-            }
-        )
+        report = {"universe": list(universe.atoms), "entailed": entailed}
+        _emit(args, gamma, source, report=report)
     else:
         print(
             f"# {args.logic} consequences over atoms "
             f"{{{', '.join(universe.atoms)}}} ({len(entailed)} sentences)"
         )
         for s in entailed:
-            print(render_sentence(s))
+            print(s)
     return 0
 
 
@@ -275,29 +252,22 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     extra = _in_order(universe, closed - target)
     rule_names = sorted(r.value for r in rules)
     if args.json:
-        _emit(
-            {
-                "schema": _SCHEMA,
-                "command": "closure",
-                "logic": args.logic,
-                "input": _input_block(gamma, source),
-                "report": {
-                    "universe": list(universe.atoms),
-                    "rules": rule_names,
-                    "reading": args.reading,
-                    "derived": [render_sentence(s) for s in derived],
-                    "missing_vs_decision": [render_sentence(s) for s in missing],
-                    "extra_vs_decision": [render_sentence(s) for s in extra],
-                },
-            }
-        )
+        report = {
+            "universe": list(universe.atoms),
+            "rules": rule_names,
+            "reading": args.reading,
+            "derived": derived,
+            "missing_vs_decision": missing,
+            "extra_vs_decision": extra,
+        }
+        _emit(args, gamma, source, report=report)
     else:
         print(
             f"# closing under {{{', '.join(rule_names)}}} "
             f"({args.reading} reading), atoms {{{', '.join(universe.atoms)}}}"
         )
         for s in derived:
-            print(render_sentence(s))
+            print(s)
         if missing:
             print(
                 f"# note: {len(missing)} sentence(s) entailed per the "
@@ -305,14 +275,14 @@ def _cmd_closure(args: argparse.Namespace) -> int:
                 "rule reading:"
             )
             for s in missing:
-                print(f"#   {render_sentence(s)}")
+                print(f"#   {s}")
         if extra:
             print(
                 f"# note: {len(extra)} derived sentence(s) are NOT "
                 f"{args.logic}-entailed:"
             )
             for s in extra:
-                print(f"#   {render_sentence(s)}")
+                print(f"#   {s}")
     return 0
 
 
@@ -321,7 +291,7 @@ def _cmd_meta(args: argparse.Namespace) -> int:
 
     report = run_suite(seed=args.seed, scale=args.scale)
     if args.json:
-        _emit(report.canonical_dict())
+        print(dumps(report.canonical_dict()))
     else:
         print(report.to_text())
     return 0 if report.all_passed else 1
@@ -332,30 +302,21 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     fixture = builder(args.tickets) if args.name == "lottery" else builder()
     results = evaluate(fixture)
     if args.json:
-        _emit(
+        expectations = [
             {
-                "schema": _SCHEMA,
-                "command": "examples",
-                "logic": "all",
-                "input": {
-                    "source": fixture.name,
-                    "sentences": [render_sentence(s) for s in fixture.gamma],
-                },
-                "report": {
-                    "title": fixture.title,
-                    "document": fixture.document,
-                    "expectations": [
-                        {
-                            "description": r.expectation.describe(),
-                            "expected": r.expectation.expected,
-                            "actual": r.actual,
-                            "ok": r.ok,
-                        }
-                        for r in results
-                    ],
-                },
+                "description": r.expectation.describe(),
+                "expected": r.expectation.expected,
+                "actual": r.actual,
+                "ok": r.ok,
             }
-        )
+            for r in results
+        ]
+        report = {
+            "title": fixture.title,
+            "document": fixture.document,
+            "expectations": expectations,
+        }
+        _emit(args, fixture.gamma, fixture.name, report=report)
     else:
         print(f"# {fixture.title}")
         print(fixture.document)
@@ -379,54 +340,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, logics: Sequence[str], default: str):
+    def document_command(name, summary, func, default, *options) -> None:
+        """The file, the command's own options in order, then --logic, --json."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", help=".bdl document ('-' for stdin)")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.add_argument(
             "--logic",
-            choices=list(logics),
+            choices=list(LOGICS + ("all",) if default == "all" else LOGICS),
             default=default,
             help=f"which logic to use (default: {default})",
         )
         p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check", help="decide whether a sentence is entailed")
-    p.add_argument("file", help=".bdl document ('-' for stdin)")
-    p.add_argument("--query", required=True, help='sentence, e.g. "D: k"')
-    p.add_argument(
-        "--countermodel",
-        action="store_true",
-        help="construct a countermodel when not entailed (wbd/gbd/bd)",
+    atoms = ("--atoms", dict(type=int, help="pad the universe to N atoms"))
+    document_command(
+        "check", "decide whether a sentence is entailed", _cmd_check, "all",
+        ("--query", dict(required=True, help='sentence, e.g. "D: k"')),
+        ("--countermodel", dict(
+            action="store_true",
+            help="construct a countermodel when not entailed (wbd/gbd/bd)",
+        )),
     )
-    add_common(p, LOGICS + ("all",), "all")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("consistency", help="report the inconsistency flags")
-    p.add_argument("file", help=".bdl document ('-' for stdin)")
-    add_common(p, LOGICS + ("all",), "all")
-    p.set_defaults(func=_cmd_consistency)
-
-    p = sub.add_parser(
-        "consequences", help="every entailed sentence over the small universe"
+    document_command(
+        "consistency", "report the inconsistency flags", _cmd_consistency, "all"
     )
-    p.add_argument("file", help=".bdl document ('-' for stdin)")
-    p.add_argument(
-        "--atoms", type=int, default=None, help="pad the universe to N atoms"
+    document_command(
+        "consequences", "every entailed sentence over the small universe",
+        _cmd_consequences, "bd", atoms,
     )
-    add_common(p, LOGICS, "bd")
-    p.set_defaults(func=_cmd_consequences)
-
-    p = sub.add_parser("closure", help="close the set under inference rules")
-    p.add_argument("file", help=".bdl document ('-' for stdin)")
-    p.add_argument(
-        "--reading",
-        choices=["membership", "derivability"],
-        default="derivability",
-        help="how rule premises consult the set (default: derivability)",
+    document_command(
+        "closure", "close the set under inference rules", _cmd_closure, "bd",
+        ("--reading", dict(
+            choices=["membership", "derivability"],
+            default="derivability",
+            help="how rule premises consult the set (default: derivability)",
+        )),
+        atoms,
     )
-    p.add_argument(
-        "--atoms", type=int, default=None, help="pad the universe to N atoms"
-    )
-    add_common(p, LOGICS, "bd")
-    p.set_defaults(func=_cmd_closure)
 
     p = sub.add_parser("meta", help="run the cross-validation property suite")
     p.add_argument("--seed", type=int, default=0)
@@ -440,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tickets", type=int, default=2, help="lottery size (lottery only)"
     )
     p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_examples)
+    p.set_defaults(func=_cmd_examples, logic="all")
 
     return parser
 

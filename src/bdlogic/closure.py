@@ -110,6 +110,13 @@ class ClosureScaleError(ValueError):
 _ATOM_LIMIT = 2  # the most atoms of a closure universe, and of ``bdl closure``
 
 
+def _check_atom_count(n: int) -> None:
+    if not 1 <= n <= _ATOM_LIMIT:
+        raise ClosureScaleError(
+            f"closure universes support 1 to {_ATOM_LIMIT} atoms, got {n}"
+        )
+
+
 class ClosureUniverse:
     """All semantic classes of a 1- or 2-atom universe, with representatives.
 
@@ -121,10 +128,7 @@ class ClosureUniverse:
     __slots__ = ("universe", "classes", "sentences", "up", "down", "columns")
 
     def __init__(self, universe: AtomUniverse):
-        if not 1 <= universe.n <= _ATOM_LIMIT:
-            raise ClosureScaleError(
-                f"closure universes support 1 or {_ATOM_LIMIT} atoms, got {universe.n}"
-            )
+        _check_atom_count(universe.n)
         self.universe = universe
         self.classes = tuple(range(universe.full_mask + 1))
         # the belief in class c, then the disbelief in class c at len(classes) + c
@@ -154,6 +158,7 @@ def _lattice(
 
 def build_universe(n: int, atoms: Iterable[str] | None = None) -> ClosureUniverse:
     """Closure universe over ``n`` distinct atoms (named p, q unless given)."""
+    _check_atom_count(n)
     names = ("p", "q")[:n] if atoms is None else tuple(atoms)
     if len(set(names)) != n or len(names) != n:
         raise ValueError(f"expected {n} distinct atom names, got {names!r}")

@@ -187,6 +187,20 @@ class TestCheck:
         assert code == 2
         assert err
 
+    def test_a_document_that_is_not_utf8_names_its_source(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        data = b"B: p\xff\n"
+        path = tmp_path / "latin.bdl"
+        path.write_bytes(data)
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        reason = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+        for doc, source in ((str(path), str(path)), ("-", "<stdin>")):
+            code, out, err = run(capsys, "check", doc, "--query", "B: p")
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot read {source}: {reason}\n"
+
 
 def test_commands_without_the_oracle_never_load_numpy(murder_file, agnostic_file):
     # the package loads a module on first use, and check (no countermodel)

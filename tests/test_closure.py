@@ -65,6 +65,15 @@ class TestUniverse:
         with pytest.raises(ClosureScaleError):
             build_universe(3, atoms=("p", "q", "r"))
 
+    @pytest.mark.parametrize("n", [-1, 0, 3])
+    def test_every_atom_count_out_of_range_is_a_scale_error(self, n):
+        with pytest.raises(ClosureScaleError) as caught:
+            build_universe(n)
+        limit = closure_mod._ATOM_LIMIT
+        assert str(caught.value) == (
+            f"closure universes support 1 to {limit} atoms, got {n}"
+        )
+
     def test_atom_count_mismatch(self):
         with pytest.raises(ValueError):
             build_universe(1, atoms=("p", "q"))
